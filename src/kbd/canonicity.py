@@ -11,10 +11,10 @@ normal forms, and is unique up to renaming of variables.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .terms import Rule, Term, pair_variants
-from .rewriting import Rules, is_normal_form, normalize, rewrite_step
+from .rewriting import Rules, is_normal_form, normalize
 
 
 def is_left_reduced(rules: Rules) -> bool:

@@ -26,10 +26,9 @@ from .orders import (InadmissibleOrder, KboWeights, OrderSpec, Precedence,
 from .ordered import (ground_joinable, run_kbl, run_kbo,
                       simplify_ground_complete)
 from .parsing import (ParseError, ProblemFile, format_trace, parse_problem,
-                      parse_term_string, parse_trace, print_problem,
-                      term_word, word_term)
-from .rewriting import is_normal_form, joinable, normalize
-from .terms import Equation, Rule, is_ground
+                      parse_term_string, parse_trace, term_word, word_term)
+from .rewriting import joinable, normalize
+from .terms import Rule, is_ground
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -118,7 +117,7 @@ def load_problem(args) -> ProblemFile:
     return parse_problem(text, string_mode=string_mode)
 
 
-def fuel_of(args) -> Optional[int]:
+def fuel_of(args) -> int:
     if args.fuel is not None:
         return args.fuel
     env = os.environ.get("KBD_FUEL")
@@ -196,7 +195,7 @@ def cmd_reduce(args) -> int:
         raise CliError("reduce needs a RULES section", EXIT_MAYBE)
     fn = rdot if args.rhs_only else rddot
     try:
-        out = fn(pf.rules, fuel_of(args) or 10000)
+        out = fn(pf.rules, fuel_of(args))
     except RuntimeError as e:
         raise CliError(str(e), EXIT_MAYBE)
     print(show_system(out, [], args.string))
@@ -207,7 +206,7 @@ def cmd_reduce_ordered(args) -> int:
     pf = load_problem(args)
     order = build_order(args, pf)
     eqs, rules = simplify_ground_complete(pf.equations, pf.rules, order,
-                                          fuel_of(args) or 10000)
+                                          fuel_of(args))
     print(show_system(rules, eqs, args.string))
     return EXIT_YES
 
@@ -231,8 +230,8 @@ def cmd_decide(args) -> int:
     eqs = list(pf.equations) + [r.as_equation() for r in pf.rules]
     result = run_kbf(eqs, order, fuel)
     if result.status == "success":
-        l = normalize(result.state.R, lhs, fuel or 10000)
-        r = normalize(result.state.R, rhs, fuel or 10000)
+        l = normalize(result.state.R, lhs, fuel)
+        r = normalize(result.state.R, rhs, fuel)
         if l is not None and r is not None:
             print("VALID" if l == r else "INVALID")
             return EXIT_YES if l == r else EXIT_NO
@@ -242,7 +241,7 @@ def cmd_decide(args) -> int:
             print("MAYBE (ordered system decides ground queries only)")
             return EXIT_MAYBE
         verdict = ground_joinable(result.state.E, result.state.R, order,
-                                  lhs, rhs, fuel or 10000)
+                                  lhs, rhs, fuel)
         if verdict is not None:
             print("VALID" if verdict else "INVALID")
             return EXIT_YES if verdict else EXIT_NO
@@ -285,7 +284,7 @@ def cmd_check_confluence(args) -> int:
             print("PRECONDITION-FAILED (no reduction order orients the "
                   "rules; termination unproven)")
             return EXIT_MAYBE
-    fuel = fuel_of(args) or 10000
+    fuel = fuel_of(args)
     for eq in prime_critical_pairs(pf.rules):
         verdict = joinable(pf.rules, eq.lhs, eq.rhs, fuel)
         if verdict is None:
@@ -328,7 +327,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--string", action="store_true",
                        help="treat input as string rewriting words")
         p.add_argument("--fuel", type=int, default=None,
-                       help="rewrite-step budget (default 10000 or $KBD_FUEL)")
+                       help="inferences for complete*, rewrite steps "
+                       "otherwise (default 10000 or $KBD_FUEL)")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for randomized helpers")
         if order_flags:

@@ -17,17 +17,16 @@ and replayed step by step, with all side conditions re-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .critical_pairs import critical_pairs, prime_critical_pairs
+from .critical_pairs import oriented_views, overlap_at, pair_overlaps
 from .orders import OrderSpec
-from .rewriting import (StepReport, conversion_oracle, joinable, normalize,
-                        rewrite_step)
-from .terms import (Equation, Position, Rule, Term, apply_subst,
-                    canonical_pair, match,
-                    pair_variants, equation_variants, positions,
-                    properly_encompasses, replace_at, size, subterm_at,
-                    variables)
+from .rewriting import (StepReport, conversion_oracle, is_normal_form,
+                        normalize, rewrite_step)
+from .terms import (Equation, Fun, InvalidPosition, Position, Rule, RuleLike,
+                    Term, apply_subst, canonical_pair, equation_variants,
+                    match, pair_variants, properly_encompasses, replace_at,
+                    size, subterm_at, subterms, variables)
 
 
 class SideConditionError(Exception):
@@ -55,6 +54,20 @@ class RunState:
         return RunState(list(self.E), list(self.R), list(self.e_union))
 
 
+class Peak(NamedTuple):
+    """The critical peak a deduced equation comes from: ``inner``
+    overlaps ``outer`` at position ``pos`` of ``outer``'s left-hand side.
+
+    Each participant is a reference and a direction, as ``ref`` and
+    ``ref_rev`` of :class:`Inference`: ``(('rule', k), False)`` or, in the
+    ordered calculi, ``(('eq', j), rev)``.
+    """
+
+    outer: tuple[tuple[str, int], bool]
+    inner: tuple[tuple[str, int], bool]
+    pos: Position
+
+
 @dataclass(frozen=True)
 class Inference:
     """One completion inference.
@@ -62,6 +75,8 @@ class Inference:
     ``ref`` names the rewrite rule or equation used by simplify, compose
     and collapse: ``('rule', k)`` or ``('eq', j)`` with indices into the
     current run state; ``ref_rev`` uses an equation right-to-left.
+    ``peak`` names where a deduced equation comes from; a deduce without
+    one is checked by a search for some peak that yields it.
     """
 
     kind: str                      # orient, delete, deduce, simplify,
@@ -73,6 +88,7 @@ class Inference:
     target: Optional[int] = None   # compose/collapse: rule index
     ref: Optional[tuple[str, int]] = None
     ref_rev: bool = False
+    peak: Optional[Peak] = None
 
 
 def is_linear(t: Term) -> bool:
@@ -107,6 +123,35 @@ def _check_rule_index(state: RunState, k) -> Rule:
     return state.R[k]
 
 
+def _oriented(state: RunState, ref, ref_rev: bool,
+              allow_equations: bool) -> Equation:
+    """The referenced rule, or equation read in the given direction."""
+    if ref is None:
+        raise SideConditionError("missing rule reference")
+    space, j = ref
+    if space == "rule":
+        rule = _check_rule_index(state, j)
+        if ref_rev:
+            raise SideConditionError("rules apply left-to-right only")
+        return Equation(rule.lhs, rule.rhs)
+    if space == "eq":
+        if not allow_equations:
+            raise SideConditionError(
+                "equations cannot be used as rules in this calculus")
+        if not 0 <= j < len(state.E):
+            raise SideConditionError("no equation #%s" % j)
+        eq = state.E[j]
+        return eq.reversed() if ref_rev else eq
+    raise SideConditionError("bad reference %r" % (ref,))
+
+
+def _subterm(term: Term, pos: Position) -> Term:
+    try:
+        return subterm_at(term, pos)
+    except InvalidPosition:
+        raise SideConditionError("no position %r in %s" % (pos, term))
+
+
 def _rewrite_with_ref(state: RunState, term: Term, pos: Position,
                       ref, ref_rev: bool, order: OrderSpec,
                       *, exclude_rule: Optional[int] = None,
@@ -117,32 +162,16 @@ def _rewrite_with_ref(state: RunState, term: Term, pos: Position,
     ``encompass`` additionally demands that the whole ``term`` properly
     encompasses the (uninstantiated) left-hand side used.
     """
-    if ref is None:
-        raise SideConditionError("missing rule reference")
-    space, j = ref
-    if space == "rule":
-        if j == exclude_rule:
-            raise SideConditionError("rule may not rewrite with itself")
-        rule = _check_rule_index(state, j)
-        lhs, rhs = rule.lhs, rule.rhs
-        if ref_rev:
-            raise SideConditionError("rules apply left-to-right only")
-    elif space == "eq":
-        if not allow_equations:
-            raise SideConditionError(
-                "equations cannot be used for rewriting in this calculus")
-        if not 0 <= j < len(state.E):
-            raise SideConditionError("no equation #%s" % j)
-        eq = state.E[j]
-        lhs, rhs = (eq.rhs, eq.lhs) if ref_rev else (eq.lhs, eq.rhs)
-    else:
-        raise SideConditionError("bad reference %r" % (ref,))
-    sub = subterm_at(term, pos)
+    if ref is not None and ref[0] == "rule" and ref[1] == exclude_rule:
+        raise SideConditionError("rule may not rewrite with itself")
+    view = _oriented(state, ref, ref_rev, allow_equations)
+    lhs, rhs = view.lhs, view.rhs
+    sub = _subterm(term, pos)
     sigma = match(lhs, sub)
     if sigma is None:
         raise SideConditionError(
             "%s does not match %s at position %r" % (lhs, term, pos))
-    if space == "eq":
+    if ref[0] == "eq":
         lt, rt = apply_subst(sigma, lhs), apply_subst(sigma, rhs)
         if not order.gt(lt, rt):
             raise SideConditionError(
@@ -154,37 +183,43 @@ def _rewrite_with_ref(state: RunState, term: Term, pos: Position,
     return replace_at(term, pos, apply_subst(sigma, rhs))
 
 
-_CP_POOL_CACHE: dict = {}
+def _check_peak(state: RunState, eq: Equation, peak: Peak, ordered: bool,
+                order: OrderSpec):
+    """``eq`` must be, up to variants, the critical pair of the named peak.
 
-
-def _cp_pool(rules: list[Rule]) -> set:
-    """Canonical critical pairs of ``rules`` (both orientations), cached.
-
-    Deduce steps arrive in batches between which the rules do not change,
-    so the pool is memoized on the rule tuple.
+    In the ordered calculi the participants may be equations read either
+    way, and the overlap must meet the ordering conditions of extended
+    critical pairs.
     """
-    key = tuple(rules)
-    pool = _CP_POOL_CACHE.get(key)
-    if pool is None:
-        pool = set()
-        for cp in critical_pairs(rules):
-            pool.add(canonical_pair(cp))
-            pool.add(canonical_pair(cp.reversed()))
-        if len(_CP_POOL_CACHE) > 64:
-            _CP_POOL_CACHE.clear()
-        _CP_POOL_CACHE[key] = pool
-    return pool
+    outer = _oriented(state, *peak.outer, ordered)
+    inner = _oriented(state, *peak.inner, ordered)
+    _subterm(outer.lhs, peak.pos)
+    o = overlap_at(outer, inner, peak.pos, order if ordered else None)
+    if o is None:
+        raise SideConditionError("%s does not overlap %s at position %r"
+                                 % (inner, outer, peak.pos))
+    if not equation_variants(eq, o.pair()):
+        raise SideConditionError("the peak yields %s, not %s"
+                                 % (o.pair(), eq))
 
 
 def _deduce_ok(state: RunState, eq: Equation, variant: str,
                order: OrderSpec) -> bool:
-    """Deduced equations must come from an actual peak of the current system.
+    """A deduce that names no peak must come from some peak of the
+    current system.
 
     Membership in the critical pairs of the current system is checked
     first; otherwise a short conversion between the two sides is accepted
     as evidence of a peak.
     """
-    if canonical_pair(eq) in _cp_pool(state.R):
+    keys = {canonical_pair(eq), canonical_pair(eq.reversed())}
+
+    def some_peak(views, order=None) -> bool:
+        return any(canonical_pair(o.pair()) in keys
+                   for outer in views for inner in views
+                   for o in pair_overlaps(outer, inner, order))
+
+    if some_peak(state.R):
         return True
     pairs = list(state.R) + (list(state.E) if variant in ("kbo", "kbl") else [])
     cap = max(size(eq.lhs), size(eq.rhs)) + \
@@ -192,9 +227,7 @@ def _deduce_ok(state: RunState, eq: Equation, variant: str,
     if conversion_oracle(pairs, eq.lhs, eq.rhs, depth=2, size_cap=cap):
         return True
     if variant in ("kbo", "kbl"):
-        from .critical_pairs import extended_overlaps
-        return any(equation_variants(eq, o.pair)
-                   for o in extended_overlaps(state.E, state.R, order))
+        return some_peak(oriented_views(state.E, state.R), order)
     return False
 
 
@@ -236,7 +269,9 @@ def apply_inference(state: RunState, inf: Inference, variant: str,
         if variant == "kbl" and not (is_linear(eq.lhs) and is_linear(eq.rhs)):
             raise SideConditionError("linear completion deduces only "
                                      "linear equations: %s" % eq)
-        if not _deduce_ok(state, eq, variant, order):
+        if inf.peak is not None:
+            _check_peak(state, eq, inf.peak, ordered, order)
+        elif not _deduce_ok(state, eq, variant, order):
             raise SideConditionError("no peak yields %s" % eq)
         _record_equation(state, eq)
         return
@@ -323,6 +358,10 @@ class _Driver:
         self.do_compose = do_compose
         self.trace: list[Inference] = []
         self.parked: set[Equation] = set()
+        # an id for every peak view seen, and the overlaps of each pair of
+        # current views by their ids
+        self.view_ids: dict[RuleLike, int] = {}
+        self.pair_peaks: dict[tuple[int, int], tuple] = {}
 
     def spent(self) -> bool:
         return self.fuel is not None and len(self.trace) >= self.fuel
@@ -383,8 +422,51 @@ class _Driver:
                     else Equation(eq.lhs, rep.result)
         return eq
 
-    def fairness_gap(self) -> list[Equation]:
-        """Prime critical pairs of the current rules not yet accounted for.
+    def peak_views(self) -> list[tuple[tuple, RuleLike]]:
+        """The participants of critical peaks, with their references."""
+        return [((("rule", k), False), r) for k, r in enumerate(self.state.R)]
+
+    def peak_overlaps(self, outer: RuleLike, inner: RuleLike):
+        return pair_overlaps(outer, inner)
+
+    def irreducible(self, t: Term) -> bool:
+        return is_normal_form(self.state.R, t)
+
+    def prime_peaks(self) -> list[tuple[Equation, Peak]]:
+        """The prime critical pairs of the current system, each with the
+        first peak that yields it, deduplicated as ``dedup_pairs`` does.
+
+        The overlaps of a pair of views depend on the two views alone, so
+        each pair's are computed once; each scan keeps only the pairs of
+        current views and re-checks primality, which depends on the whole
+        system.  A redex is prime when its arguments are irreducible, since
+        a reducible subterm makes every term around it reducible.
+        """
+        views = self.peak_views()
+        ids = [self.view_ids.setdefault(view, len(self.view_ids))
+               for _, view in views]
+        old_peaks, self.pair_peaks = self.pair_peaks, {}
+        seen = set()
+        out = []
+        for (oref, outer), oid in zip(views, ids):
+            for (iref, inner), iid in zip(views, ids):
+                found = old_peaks.get((oid, iid))
+                if found is None:
+                    found = tuple((o.pos, o.pair(), o.redex())
+                                  for o in self.peak_overlaps(outer, inner))
+                self.pair_peaks[oid, iid] = found
+                for pos, pair, redex in found:
+                    if not all(self.irreducible(a) for a in redex.args):
+                        continue
+                    key = canonical_pair(pair)
+                    if key not in seen:
+                        seen.add(key)
+                        out.append((pair, Peak(oref, iref, pos)))
+        return out
+
+    def fairness_gap(self) -> list[tuple[Equation, Peak]]:
+        """Prime critical pairs of the current rules not yet accounted for,
+        with their peaks.
 
         A pair is covered when both sides reach the same normal form in
         the current rules (which terminate, being oriented by a reduction
@@ -394,7 +476,7 @@ class _Driver:
         if self.variant == "kbg":
             return []
         gap = []
-        for eq in prime_critical_pairs(self.state.R):
+        for eq, peak in self.prime_peaks():
             if eq.is_trivial():
                 continue
             l = normalize(self.state.R, eq.lhs, 2000)
@@ -403,7 +485,7 @@ class _Driver:
                 continue
             if single_step_connects(self.state.e_union, eq.lhs, eq.rhs):
                 continue
-            gap.append(eq)
+            gap.append((eq, peak))
         return gap
 
     def can_fail(self) -> bool:
@@ -417,10 +499,11 @@ class _Driver:
             if not live:
                 gap = self.fairness_gap()
                 if gap:
-                    for eq in gap:
+                    for eq, peak in gap:
                         if self.spent():
                             break
-                        self.emit(Inference("deduce", equation=eq))
+                        self.emit(Inference("deduce", equation=eq,
+                                            peak=peak))
                     continue
                 if self.state.E and self.can_fail():
                     return RunResult("fail", self.state, self.trace,
@@ -448,14 +531,35 @@ class _Driver:
             self.interreduce()
 
 
+def _step_sites(s: Term, t: Term) -> list[tuple[Term, Term]]:
+    """``(s|p, t|p)`` for every position p at which one step can turn
+    ``s`` into ``t``.
+
+    A step at p changes nothing outside p, so when ``s`` and ``t`` differ,
+    p lies on the path from the root to the deepest position below which
+    all their differences lie; when they are equal, p can be anywhere.
+    """
+    if s == t:
+        return [(u, u) for u in subterms(s)]
+    out = [(s, t)]
+    while isinstance(s, Fun) and isinstance(t, Fun) and \
+            s.symbol == t.symbol and len(s.args) == len(t.args):
+        differ = [i for i, (a, b) in enumerate(zip(s.args, t.args)) if a != b]
+        if len(differ) != 1:
+            break
+        s, t = s.args[differ[0]], t.args[differ[0]]
+        out.append((s, t))
+    return out
+
+
 def single_step_connects(eqs: Sequence[Equation], s: Term, t: Term) -> bool:
     """Is there a single equational step between ``s`` and ``t``?"""
+    sites = _step_sites(s, t)
     for eq in eqs:
         for l, r in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
-            for pos in positions(s):
-                sigma = match(l, subterm_at(s, pos))
-                if sigma is not None and \
-                        replace_at(s, pos, apply_subst(sigma, r)) == t:
+            for sub, target in sites:
+                sigma = match(l, sub)
+                if sigma is not None and apply_subst(sigma, r) == target:
                     return True
     return False
 

@@ -15,10 +15,10 @@ from typing import Optional, Sequence
 
 from .orders import OrderSpec
 from .rewriting import Eqns, Rules, is_normal_form, ordered_step
-from .terms import (Equation, Position, Rule, Term, apply_subst,
-                    canonical_terms, fun_positions, pair_variants,
-                    proper_subterms, rename_apart, replace_at, subterm_at,
-                    unify)
+from .terms import (Equation, Position, Rule, RuleLike, Term, Var,
+                    apply_subst, canonical_terms, fun_positions,
+                    pair_variants, proper_subterms, rename_apart, replace_at,
+                    subterm_at, unify)
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,17 @@ class Overlap:
     outer: Rule
     pos: Position
     mgu: dict
+
+    def redex(self) -> Term:
+        """The contracted inner redex, ``inner.lhs`` under the mgu."""
+        return apply_subst(self.mgu, self.inner.lhs)
+
+    def pair(self) -> Equation:
+        """The critical pair: the inner step's result against the outer's."""
+        source = apply_subst(self.mgu, self.outer.lhs)
+        reduct = apply_subst(self.mgu, self.inner.rhs)
+        return Equation(replace_at(source, self.pos, reduct),
+                        apply_subst(self.mgu, self.outer.rhs))
 
 
 @dataclass(frozen=True)
@@ -49,32 +60,83 @@ class CriticalPeak:
         return Equation(self.left, self.right)
 
 
+def _overlap(outer: RuleLike, inner: RuleLike, pos: Position,
+             order: Optional[OrderSpec]) -> Optional[Overlap]:
+    """The overlap of ``inner``, already renamed apart from ``outer``, at
+    the function position ``pos`` of ``outer.lhs``, or None."""
+    if pos == () and pair_variants(inner, outer):
+        return None
+    mgu = unify(inner.lhs, subterm_at(outer.lhs, pos))
+    if mgu is None:
+        return None
+    if order is not None and (
+            order.gt(apply_subst(mgu, inner.rhs), apply_subst(mgu, inner.lhs))
+            or order.gt(apply_subst(mgu, outer.rhs),
+                        apply_subst(mgu, outer.lhs))):
+        return None
+    return Overlap(inner, outer, pos, mgu)
+
+
+def _linear_condition(inner: RuleLike, outer: RuleLike,
+                      order: OrderSpec) -> bool:
+    """One participant is oriented by the order and the other is not
+    increasing, judged on the equations before instantiation."""
+    l1, r1 = inner.lhs, inner.rhs
+    l2, r2 = outer.lhs, outer.rhs
+    return (order.gt(l1, r1) and not order.gt(r2, l2)) or \
+        (order.gt(l2, r2) and not order.gt(r1, l1))
+
+
+def pair_overlaps(outer: RuleLike, inner: RuleLike,
+                  order: Optional[OrderSpec] = None,
+                  linear: bool = False) -> list[Overlap]:
+    """Overlaps of a renamed-apart variant of ``inner`` into ``outer``.
+
+    A rule overlapping a variant of itself at the root is excluded.  With
+    an ``order`` the participants are oriented equations and an overlap
+    with mgu μ is kept only when r1μ not > l1μ and r2μ not > l2μ; with
+    ``linear`` as well, only when one participant is oriented (see
+    :func:`linear_critical_pairs`).  The result depends on ``outer`` and
+    ``inner`` alone, so a completion run can compute it once per pair.
+    """
+    inner = rename_apart(outer, inner)
+    out = []
+    for pos in fun_positions(outer.lhs):
+        o = _overlap(outer, inner, pos, order)
+        if o is not None:
+            out.append(o)
+    if linear and out and not _linear_condition(inner, outer, order):
+        return []
+    return out
+
+
+def overlap_at(outer: RuleLike, inner: RuleLike, pos: Position,
+               order: Optional[OrderSpec] = None) -> Optional[Overlap]:
+    """The overlap of ``inner`` into ``outer`` at ``pos``, under the
+    conditions of :func:`pair_overlaps`, or None.
+
+    Raises InvalidPosition when ``pos`` is not a position of ``outer.lhs``.
+    """
+    if isinstance(subterm_at(outer.lhs, pos), Var):
+        return None
+    return _overlap(outer, rename_apart(outer, inner), pos, order)
+
+
 def overlaps(rules: Rules) -> list[Overlap]:
     """All overlaps between (renamed-apart) variants of rules in ``rules``.
 
     A rule overlapping a variant of itself at the root is excluded.
     """
-    out = []
     rule_list = list(rules)
-    for outer in rule_list:
-        for inner0 in rule_list:
-            inner = rename_apart(outer, inner0)
-            for pos in fun_positions(outer.lhs):
-                if pos == () and pair_variants(inner, outer):
-                    continue
-                mgu = unify(inner.lhs, subterm_at(outer.lhs, pos))
-                if mgu is not None:
-                    out.append(Overlap(inner, outer, pos, mgu))
-    return out
+    return [o for outer in rule_list for inner in rule_list
+            for o in pair_overlaps(outer, inner)]
 
 
 def peak_of_overlap(o: Overlap, rules: Rules) -> CriticalPeak:
     source = apply_subst(o.mgu, o.outer.lhs)
-    left = replace_at(source, o.pos, apply_subst(o.mgu, o.inner.rhs))
-    right = apply_subst(o.mgu, o.outer.rhs)
-    redex = subterm_at(source, o.pos)
-    prime = all(is_normal_form(rules, u) for u in proper_subterms(redex))
-    return CriticalPeak(left, o.pos, source, right, prime)
+    pair = o.pair()
+    prime = all(is_normal_form(rules, u) for u in proper_subterms(o.redex()))
+    return CriticalPeak(pair.lhs, o.pos, source, pair.rhs, prime)
 
 
 def critical_peaks(rules: Rules) -> list[CriticalPeak]:
@@ -95,7 +157,7 @@ def dedup_pairs(eqs: Sequence[Equation]) -> list[Equation]:
 
 def critical_pairs(rules: Rules) -> list[Equation]:
     """CP(R): all critical pairs, deduplicated up to literal similarity."""
-    return dedup_pairs([p.pair() for p in critical_peaks(rules)])
+    return dedup_pairs([o.pair() for o in overlaps(rules)])
 
 
 def prime_critical_pairs(rules: Rules) -> list[Equation]:
@@ -121,7 +183,8 @@ class ExtendedOverlap:
     prime: bool
 
 
-def _oriented_views(eqs: Eqns, rules: Rules) -> list[Equation]:
+def oriented_views(eqs: Eqns, rules: Rules) -> list[Equation]:
+    """R read left to right, then each equation of E both ways (E± ∪ R)."""
     views = [Equation(r.lhs, r.rhs) for r in rules]
     for eq in eqs:
         views.append(Equation(eq.lhs, eq.rhs))
@@ -139,26 +202,15 @@ def extended_overlaps(eqs: Eqns, rules: Rules,
     that all proper subterms of l1μ are normal forms of the ordered
     rewrite relation of (E, R).
     """
-    views = _oriented_views(eqs, rules)
+    views = oriented_views(eqs, rules)
     out = []
     for outer in views:
-        for inner0 in views:
-            inner = rename_apart(outer, inner0)
-            for pos in fun_positions(outer.lhs):
-                if pos == () and pair_variants(inner, outer):
-                    continue
-                mgu = unify(inner.lhs, subterm_at(outer.lhs, pos))
-                if mgu is None:
-                    continue
-                l1, r1 = apply_subst(mgu, inner.lhs), apply_subst(mgu, inner.rhs)
-                l2, r2 = apply_subst(mgu, outer.lhs), apply_subst(mgu, outer.rhs)
-                if order.gt(r1, l1) or order.gt(r2, l2):
-                    continue
-                pair = Equation(replace_at(l2, pos, r1), r2)
-                prime = all(
-                    ordered_step(eqs, rules, order, u) is None
-                    for u in proper_subterms(l1))
-                out.append(ExtendedOverlap(inner, outer, pos, mgu, pair, prime))
+        for inner in views:
+            for o in pair_overlaps(outer, inner, order):
+                prime = all(ordered_step(eqs, rules, order, u) is None
+                            for u in proper_subterms(o.redex()))
+                out.append(ExtendedOverlap(o.inner, o.outer, o.pos, o.mgu,
+                                           o.pair(), prime))
     return out
 
 
@@ -177,13 +229,6 @@ def linear_critical_pairs(eqs: Eqns, rules: Rules,
     l1 > r1 and r2 not > l2, or l2 > r2 and r1 not > l1 (on the equations
     themselves, before instantiation).
     """
-    out = []
-    for o in extended_overlaps(eqs, rules, order):
-        if not o.prime:
-            continue
-        l1, r1 = o.inner.lhs, o.inner.rhs
-        l2, r2 = o.outer.lhs, o.outer.rhs
-        if (order.gt(l1, r1) and not order.gt(r2, l2)) or \
-                (order.gt(l2, r2) and not order.gt(r1, l1)):
-            out.append(o.pair)
-    return dedup_pairs(out)
+    return dedup_pairs([
+        o.pair for o in extended_overlaps(eqs, rules, order)
+        if o.prime and _linear_condition(o.inner, o.outer, order)])

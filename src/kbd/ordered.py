@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .completion import (Inference, RunResult, _Driver, _indexed_step,
-                         single_step_connects)
-from .critical_pairs import (dedup_pairs, extended_critical_pairs,
-                             linear_critical_pairs)
+from .completion import (Inference, Peak, RunResult, _Driver, _indexed_step,
+                         is_linear, single_step_connects)
+from .critical_pairs import dedup_pairs, oriented_views, pair_overlaps
 from .orders import OrderSpec
-from .rewriting import normalize, ordered_normalize, rewrite_step
-from .terms import (Equation, Position, Rule, Term, Var, apply_subst,
-                    canonical_terms, literally_similar, match,
+from .rewriting import (normalize, ordered_normalize, ordered_step,
+                        rewrite_step)
+from .terms import (Equation, Rule, RuleLike, Term, Var, apply_subst,
+                    canonical_pair, canonical_terms, literally_similar, match,
                     pair_variants, positions, postorder_positions,
                     properly_encompasses, replace_at, subterm_at, variables)
 
@@ -55,6 +55,13 @@ def _eq_step(state, order: OrderSpec, t: Term, skip: Optional[int] = None,
 
 class _OrderedDriver(_Driver):
     """Engine loop for ordered ('kbo') and linear ('kbl') completion."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # canonical pairs of e_union's members, both ways round, and how
+        # much of the append-only e_union they cover
+        self.recorded: set = set()
+        self.recorded_upto = 0
 
     def can_fail(self) -> bool:
         return False
@@ -135,15 +142,31 @@ class _OrderedDriver(_Driver):
         return [(j, r) for j, r in enumerate(self.state.R)
                 if j != m and properly_encompasses(rule.lhs, r.lhs)]
 
-    def fairness_gap(self) -> list[Equation]:
-        fn = linear_critical_pairs if self.variant == "kbl" \
-            else extended_critical_pairs
+    def peak_views(self) -> list[tuple[tuple, RuleLike]]:
+        refs = [(("rule", k), False) for k in range(len(self.state.R))] + \
+            [(("eq", j), rev) for j in range(len(self.state.E))
+             for rev in (False, True)]
+        return list(zip(refs, oriented_views(self.state.E, self.state.R)))
+
+    def peak_overlaps(self, outer: RuleLike, inner: RuleLike):
+        return pair_overlaps(outer, inner, self.order,
+                             linear=(self.variant == "kbl"))
+
+    def irreducible(self, t: Term) -> bool:
+        return ordered_step(self.state.E, self.state.R, self.order, t) is None
+
+    def fairness_gap(self) -> list[tuple[Equation, Peak]]:
+        """Prime extended (for kbl: linear) critical pairs not accounted
+        for, with their peaks."""
+        for e in self.state.e_union[self.recorded_upto:]:
+            self.recorded.add(canonical_pair(e))
+            self.recorded.add(canonical_pair(e.reversed()))
+        self.recorded_upto = len(self.state.e_union)
         gap = []
-        for eq in fn(self.state.E, self.state.R, self.order):
+        for eq, peak in self.prime_peaks():
             if eq.is_trivial():
                 continue
-            if any(pair_variants(eq, e) or pair_variants(eq, e.reversed())
-                   for e in self.state.e_union):
+            if canonical_pair(eq) in self.recorded:
                 continue
             if single_step_connects(self.state.e_union, eq.lhs, eq.rhs):
                 continue
@@ -153,7 +176,7 @@ class _OrderedDriver(_Driver):
                                   eq.rhs, 2000)
             if l is not None and l == r:
                 continue
-            gap.append(eq)
+            gap.append((eq, peak))
         return gap
 
 
@@ -168,7 +191,6 @@ def run_kbl(eqs: Sequence[Equation], order: OrderSpec,
     """Ordered completion for linear systems: rewriting in side conditions
     uses rules only and deduction adds linear critical pairs only."""
     for eq in eqs:
-        from .completion import is_linear
         if not (is_linear(eq.lhs) and is_linear(eq.rhs)):
             raise ValueError("linear completion needs linear input: %s" % eq)
     return _OrderedDriver(eqs, order, "kbl", fuel, do_compose=True).run()

@@ -15,6 +15,10 @@ Traces record one inference per line, for example::
     orient f(a) -> b
     simplify a == b lhs at 1.2 with rule#0
     compose rule#2 at e with eq#1 rev
+    deduce-ext f(b) == b from eq#0 fwd rule#1 at 1
+
+A deduce may name its peak (``from <outer> <inner> at <pos>``); one
+without it is read as well, so older traces still parse.
 
 String-rewriting input is supported by expanding words into unary
 terms: the word ``aba`` becomes ``a(b(a(x)))``.
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .completion import Inference
+from .completion import Inference, Peak
 from .terms import (Equation, Fun, Position, Rule, Signature, Term, Var)
 
 
@@ -278,7 +282,13 @@ def format_inference(inf: Inference, variant: str = "kbf") -> str:
     if inf.kind == "delete":
         return "delete %s" % inf.equation
     if inf.kind == "deduce":
-        return "%s %s" % (_DEDUCE_WORDS.get(variant, "deduce"), inf.equation)
+        out = "%s %s" % (_DEDUCE_WORDS.get(variant, "deduce"), inf.equation)
+        if inf.peak is not None:
+            outer, inner, pos = inf.peak
+            out += " from %s %s at %s" % (
+                _format_ref(*outer), _format_ref(*inner),
+                format_position(pos))
+        return out
     if inf.kind == "simplify":
         return "simplify %s %s at %s with %s" % (
             inf.equation, inf.side, format_position(inf.pos or ()),
@@ -327,8 +337,14 @@ def parse_inference(line: str, is_var: Callable[[str], bool]) -> Inference:
         lhs = parse_term(ts, is_var)
         ts.expect("==")
         rhs = parse_term(ts, is_var)
+        peak = None
+        if kind != "delete" and not ts.done():
+            ts.expect("from")
+            outer, inner = _parse_ref(ts), _parse_ref(ts)
+            ts.expect("at")
+            peak = Peak(outer, inner, parse_position(ts.next()))
         return Inference("delete" if kind == "delete" else "deduce",
-                         equation=Equation(lhs, rhs))
+                         equation=Equation(lhs, rhs), peak=peak)
     if kind == "simplify":
         lhs = parse_term(ts, is_var)
         ts.expect("==")

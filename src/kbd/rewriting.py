@@ -12,11 +12,11 @@ fuel yields ``None`` (a "maybe" answer), never an exception.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .orders import OrderSpec
-from .terms import (Equation, Fun, Position, Rule, Term, Var, apply_subst,
+from .terms import (Equation, Position, Rule, Term, Var, apply_subst,
                     match, positions, properly_encompasses, replace_at, size,
                     subterm_at)
 

@@ -69,6 +69,22 @@ class TestComplete:
         assert code == 1
         assert out.startswith("FAIL")
 
+    @pytest.mark.parametrize("line", [
+        "simplify f(a) == b lhs at 1.1.1 with rule#0",
+        "deduce f(b) == f(b) from rule#0 rule#0 at 1.1",
+        "deduce f(b) == f(b) from rule#0 rule#3 at e",
+        "deduce f(b) == f(b) from rule#3 rule#0 at e",
+    ], ids=["position", "peak-position", "inner-ref", "outer-ref"])
+    def test_replay_bad_reference_fails(self, capsys, tmp_path, line):
+        problem = tmp_path / "p.trs"
+        problem.write_text("(RULES a -> b) (EQUATIONS f(a) == b)\n")
+        script = tmp_path / "bad.txt"
+        script.write_text(line + "\n")
+        code, out, _ = run(capsys, "replay", str(problem),
+                           "--script", str(script))
+        assert code == 1
+        assert out.startswith("FAIL (")
+
 
 class TestCompleteGround:
     def test_ground_example(self, capsys):
@@ -265,6 +281,36 @@ class TestErrorsAndEnvironment:
         code, out, _ = run(capsys, "complete", fixture("strategy.es"),
                            "--prec", "a>b>d,a>c>d", "--fuel", "10000")
         assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("reduce", fixture("metivier.trs")),
+        ("check-confluence", fixture("metivier.trs")),
+        ("decide", fixture("ground.es"), "--prec", "a>b>c>f", "f(f(b)) == a"),
+    ], ids=["reduce", "check-confluence", "decide"])
+    def test_zero_fuel_is_honoured(self, capsys, monkeypatch, argv):
+        code, _, _ = run(capsys, *argv)
+        assert code != 2
+        code, _, _ = run(capsys, *argv, "--fuel", "0")
+        assert code == 2
+        monkeypatch.setenv("KBD_FUEL", "0")
+        code, _, _ = run(capsys, *argv)
+        assert code == 2
+
+    def test_zero_fuel_reaches_reduce_ordered(self, capsys, monkeypatch):
+        import kbd.cli
+        seen = []
+
+        def simplify(eqs, rules, order, fuel):
+            seen.append(fuel)
+            return list(eqs), list(rules)
+
+        monkeypatch.setattr(kbd.cli, "simplify_ground_complete", simplify)
+        monkeypatch.setenv("KBD_FUEL", "0")
+        run(capsys, "reduce-ordered", fixture("interreduce1.trs"),
+            "--prec", "+>s")
+        run(capsys, "reduce-ordered", fixture("interreduce1.trs"),
+            "--prec", "+>s", "--fuel", "0")
+        assert seen == [0, 0]
 
     def test_bad_fuel_env(self, capsys, monkeypatch):
         monkeypatch.setenv("KBD_FUEL", "lots")

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from kbd.completion import Inference
+from kbd.completion import Inference, Peak
 from kbd.parsing import (ParseError, ProblemFile, format_inference,
                          format_position, format_trace, parse_inference,
                          parse_position, parse_problem, parse_term_string,
@@ -119,6 +119,11 @@ class TestTraceGrammar:
         Inference("orient", equation=Equation(a, b), reverse=True),
         Inference("delete", equation=Equation(a, a)),
         Inference("deduce", equation=Equation(Fun("f", (x,)), x)),
+        Inference("deduce", equation=Equation(Fun("f", (x,)), x),
+                  peak=Peak((("rule", 2), False), (("rule", 0), False),
+                            (1,))),
+        Inference("deduce", equation=Equation(a, b),
+                  peak=Peak((("eq", 1), True), (("rule", 0), False), ())),
         Inference("simplify", equation=Equation(Fun("f", (a,)), b),
                   side="lhs", pos=(1,), ref=("rule", 0)),
         Inference("simplify", equation=Equation(a, b), side="rhs", pos=(),
@@ -139,6 +144,20 @@ class TestTraceGrammar:
         for variant in ("kbf", "kbo", "kbl"):
             line = format_inference(inf, variant)
             assert parse_inference(line, is_var) == inf
+
+    def test_deduce_peak_suffix(self):
+        inf = parse_inference("deduce-ext a == b from eq#1 rev rule#0 at 2.1",
+                              is_var)
+        assert inf.peak == Peak((("eq", 1), True), (("rule", 0), False),
+                                (2, 1))
+        assert format_inference(inf, "kbo") == \
+            "deduce-ext a == b from eq#1 rev rule#0 at 2.1"
+        for bad in ("deduce a == b by rule#0 rule#1 at e",
+                    "deduce a == b from rule#0 at e",
+                    "deduce a == b from rule#0 rule#1",
+                    "deduce a == b from eq#0 rule#1 at e"):
+            with pytest.raises(ParseError):
+                parse_inference(bad, is_var)
 
     def test_trace_roundtrip(self):
         text = format_trace(self.CASES)

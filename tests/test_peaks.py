@@ -1,0 +1,260 @@
+"""Deduce steps that name their peak, and the incremental fairness scan.
+
+Engine traces must round-trip through the trace format and replay under
+their own calculus; a deduce naming a peak that does not yield its
+equation is rejected; and the engines' cached scans must agree with the
+public critical-pair functions at every quiescent point.
+"""
+
+import functools
+import os
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kbd.cli import parse_precedence
+from kbd.completion import (Inference, Peak, RunState, SideConditionError,
+                            _Driver, apply_inference, replay, run_kbf,
+                            run_kbi, single_step_connects)
+from kbd.critical_pairs import (extended_critical_pairs,
+                                linear_critical_pairs, prime_critical_pairs)
+from kbd.ordered import _OrderedDriver, run_kbl, run_kbo
+from kbd.orders import KboWeights, OrderSpec
+from kbd.parsing import format_trace, parse_problem, parse_trace
+from kbd.rewriting import normalize, ordered_normalize
+from kbd.terms import (Equation, Fun, Rule, Var, apply_subst, match,
+                       pair_variants, positions, replace_at, subterm_at)
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def load(name):
+    with open(os.path.join(FIXTURES, name)) as fh:
+        return parse_problem(fh.read(), string_mode=name.endswith(".str"))
+
+
+def lpo(prec):
+    return OrderSpec("lpo", parse_precedence(prec))
+
+
+def kbo(prec):
+    return OrderSpec("kbo", parse_precedence(prec), KboWeights(1, {}))
+
+
+# (fixture, engine, variant, order, fuel)
+ENGINE_RUNS = [
+    ("strategy.es", run_kbf, "kbf", lpo("a>b>d,a>c>d"), 10000),
+    ("groups.es", run_kbf, "kbf", lpo("i>*>e"), 10000),
+    ("okb1.es", run_kbo, "kbo", lpo("+>*>->1>0"), 10000),
+    ("okb2.es", run_kbo, "kbo", lpo("g>f>a>b"), 10000),
+    ("plus.es", run_kbo, "kbo", lpo("+>0"), 10000),
+    ("collapse6.es", run_kbi, "kbi", kbo("a>b"), 10000),
+    ("braid.str", run_kbi, "kbi", kbo("a>b"), 120),
+    ("braid.str", run_kbl, "kbl", kbo("a>b"), 60),
+    ("comm.es", run_kbl, "kbl", lpo("+>s>0"), 35),
+    ("comm.es", run_kbo, "kbo", lpo("+>s>0"), 60),
+]
+
+@functools.cache
+def engine_run(k):
+    """The problem and the engine result of ENGINE_RUNS[k], computed once."""
+    name, engine, _, order, fuel = ENGINE_RUNS[k]
+    pf = load(name)
+    return pf, engine(pf.equations, order, fuel)
+
+
+def run_id(run):
+    return "%s-%s" % (run[0].split(".")[0], run[2])
+
+
+@pytest.mark.parametrize("k", range(len(ENGINE_RUNS)),
+                         ids=[run_id(r) for r in ENGINE_RUNS])
+def test_engine_trace_roundtrips_and_replays(k):
+    _, _, variant, order, _ = ENGINE_RUNS[k]
+    pf, result = engine_run(k)
+    assert all(inf.peak is not None for inf in result.trace
+               if inf.kind == "deduce")
+    script = parse_trace(format_trace(result.trace, variant), pf.is_var)
+    assert script == result.trace
+    state = replay(pf.equations, [], script, variant, order)
+    assert state.R == result.state.R
+    assert state.E == result.state.E
+
+
+@pytest.mark.parametrize("k", [6, 9], ids=["braid-kbi", "comm-kbo"])
+def test_old_format_trace_replays(k):
+    """Stripping every ``from ...`` suffix leaves a trace that the peak
+    search still accepts."""
+    _, _, variant, order, _ = ENGINE_RUNS[k]
+    pf, result = engine_run(k)
+    text = "".join(line.split(" from ")[0] + "\n" for line in
+                   format_trace(result.trace, variant).splitlines())
+    script = parse_trace(text, pf.is_var)
+    assert all(inf.peak is None for inf in script)
+    state = replay(pf.equations, [], script, variant, order)
+    assert state.R == result.state.R
+    assert state.E == result.state.E
+
+
+def state_before_inner_deduce(k):
+    """The replayed state just before the first deduce of ENGINE_RUNS[k]
+    whose peak lies below the root, and that deduce.  (Swapping the
+    participants of a root overlap yields the same pair, reversed.)"""
+    _, _, variant, order, _ = ENGINE_RUNS[k]
+    pf, result = engine_run(k)
+    i = next(i for i, inf in enumerate(result.trace)
+             if inf.kind == "deduce" and inf.peak.pos != ())
+    state = replay(pf.equations, [], result.trace[:i], variant, order)
+    return state, result.trace[i], variant, order
+
+
+def rejects(state, inf, variant, order):
+    with pytest.raises(SideConditionError):
+        apply_inference(state.copy(), inf, variant, order)
+
+
+@pytest.mark.parametrize("k", [1, 9], ids=["groups-kbf", "comm-kbo"])
+def test_wrong_peaks_rejected(k):
+    state, inf, variant, order = state_before_inner_deduce(k)
+    outer, inner, pos = inf.peak
+    apply_inference(state.copy(), inf, variant, order)
+    swapped = Peak(inner, outer, pos)
+    rejects(state, Inference("deduce", equation=inf.equation, peak=swapped),
+            variant, order)
+    for bad_pos in [(9,), pos + (1, 1, 1)]:
+        rejects(state, Inference("deduce", equation=inf.equation,
+                                 peak=Peak(outer, inner, bad_pos)),
+                variant, order)
+    missing = (("rule", len(state.R)), False)
+    for peak in (Peak(missing, inner, pos), Peak(outer, missing, pos)):
+        rejects(state, Inference("deduce", equation=inf.equation, peak=peak),
+                variant, order)
+
+
+def test_peak_at_other_position_rejected():
+    x = Var("x")
+    f, g = (lambda t: Fun("f", (t,))), (lambda t: Fun("g", (t,)))
+    state = RunState.start([], [Rule(f(g(x)), x), Rule(g(g(x)), x)])
+    outer, inner = (("rule", 0), False), (("rule", 1), False)
+    # g(g(x)) overlaps f(g(x)) at 1: f(g(g(x))) -> f(x) and -> g(x)
+    good = Inference("deduce", equation=Equation(f(x), g(x)),
+                     peak=Peak(outer, inner, (1,)))
+    apply_inference(state.copy(), good, "kbf", lpo("f>g"))
+    for pos in [(), (1, 1)]:
+        rejects(state, Inference("deduce", equation=good.equation,
+                                 peak=Peak(outer, inner, pos)),
+                "kbf", lpo("f>g"))
+
+
+def test_equation_refs_need_an_ordered_calculus():
+    a, b = Fun("a"), Fun("b")
+    state = RunState.start([Equation(Fun("f", (a,)), b)], [Rule(a, b)])
+    inf = Inference("deduce", equation=Equation(Fun("f", (b,)), b),
+                    peak=Peak((("eq", 0), False), (("rule", 0), False),
+                              (1,)))
+    order = lpo("f>a>b")
+    rejects(state, inf, "kbf", order)
+    apply_inference(state.copy(), inf, "kbo", order)
+
+
+# ------------------------------------------------ the incremental scan
+
+def old_single_step_connects(eqs, s, t):
+    """The all-positions scan that single_step_connects replaces."""
+    for eq in eqs:
+        for l, r in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
+            for pos in positions(s):
+                sigma = match(l, subterm_at(s, pos))
+                if sigma is not None and \
+                        replace_at(s, pos, apply_subst(sigma, r)) == t:
+                    return True
+    return False
+
+
+LEAVES = st.sampled_from([Var("x"), Var("y"), Fun("a"), Fun("b")])
+TERMS = st.recursive(
+    LEAVES, lambda kids: st.one_of(
+        st.builds(lambda s: Fun("g", (s,)), kids),
+        st.builds(lambda s, t: Fun("f", (s, t)), kids, kids)),
+    max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eqs=st.lists(st.builds(Equation, TERMS, TERMS), max_size=3),
+       s=TERMS, data=st.data())
+def test_single_step_connects_matches_full_scan(eqs, s, data):
+    successors = [replace_at(s, pos, apply_subst(sigma, r))
+                  for eq in eqs
+                  for l, r in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs))
+                  for pos in positions(s)
+                  for sigma in [match(l, subterm_at(s, pos))]
+                  if sigma is not None]
+    choices = [TERMS, st.just(s)]
+    if successors:
+        choices.append(st.sampled_from(successors))
+    t = data.draw(st.one_of(*choices))
+    assert single_step_connects(eqs, s, t) == \
+        old_single_step_connects(eqs, s, t)
+
+
+def plain_reference_gap(driver):
+    R = driver.state.R
+    gap = []
+    for eq in prime_critical_pairs(R):
+        if eq.is_trivial():
+            continue
+        l, r = normalize(R, eq.lhs, 2000), normalize(R, eq.rhs, 2000)
+        if l is not None and l == r:
+            continue
+        if old_single_step_connects(driver.state.e_union, eq.lhs, eq.rhs):
+            continue
+        gap.append(eq)
+    return gap
+
+
+def ordered_reference_gap(driver):
+    E, R, order = driver.state.E, driver.state.R, driver.order
+    fn = linear_critical_pairs if driver.variant == "kbl" \
+        else extended_critical_pairs
+    gap = []
+    for eq in fn(E, R, order):
+        if eq.is_trivial():
+            continue
+        if any(pair_variants(eq, e) or pair_variants(eq, e.reversed())
+               for e in driver.state.e_union):
+            continue
+        if old_single_step_connects(driver.state.e_union, eq.lhs, eq.rhs):
+            continue
+        l = ordered_normalize(E, R, order, eq.lhs, 2000)
+        r = ordered_normalize(E, R, order, eq.rhs, 2000)
+        if l is not None and l == r:
+            continue
+        gap.append(eq)
+    return gap
+
+
+@pytest.mark.parametrize("name, engine, order, fuel, cls, reference", [
+    ("groups.es", run_kbf, lpo("i>*>e"), 10000, _Driver,
+     plain_reference_gap),
+    ("okb1.es", run_kbo, lpo("+>*>->1>0"), 10000, _OrderedDriver,
+     ordered_reference_gap),
+    ("comm.es", run_kbo, lpo("+>s>0"), 60, _OrderedDriver,
+     ordered_reference_gap),
+    ("comm.es", run_kbl, lpo("+>s>0"), 35, _OrderedDriver,
+     ordered_reference_gap),
+], ids=["groups-kbf", "okb1-kbo", "comm-kbo", "comm-kbl"])
+def test_gap_matches_public_critical_pairs(monkeypatch, name, engine, order,
+                                           fuel, cls, reference):
+    scans = []
+    fairness_gap = cls.fairness_gap
+
+    def checked(driver):
+        gap = fairness_gap(driver)
+        assert [eq for eq, _ in gap] == reference(driver)
+        scans.append(len(gap))
+        return gap
+
+    monkeypatch.setattr(cls, "fairness_gap", checked)
+    engine(load(name).equations, order, fuel)
+    assert len(scans) >= 2 and any(scans)
