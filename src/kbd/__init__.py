@@ -8,9 +8,8 @@ linear ordered completion, plus interreduction to canonical presentations.
 
 from .terms import Var, Fun, Term, Rule, Equation
 from .orders import Precedence, OrderSpec
-from .rewriting import TRS, ES
 
 __all__ = [
     "Var", "Fun", "Term", "Rule", "Equation",
-    "Precedence", "OrderSpec", "TRS", "ES",
+    "Precedence", "OrderSpec",
 ]

@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
-import random
 import sys
 from typing import Optional
 
 from .canonicity import rddot, rdot
-from .completion import (SideConditionError, run_kbf, run_kbg, run_kbi,
-                         replay)
+from .completion import (CALCULI, SideConditionError, run_kbf, run_kbg,
+                         run_kbi, replay)
 from .critical_pairs import (critical_pairs, extended_critical_pairs,
                              prime_critical_pairs)
 from .orders import (InadmissibleOrder, KboWeights, OrderSpec, Precedence,
@@ -205,8 +204,11 @@ def cmd_reduce(args) -> int:
 def cmd_reduce_ordered(args) -> int:
     pf = load_problem(args)
     order = build_order(args, pf)
-    eqs, rules = simplify_ground_complete(pf.equations, pf.rules, order,
-                                          fuel_of(args))
+    try:
+        eqs, rules = simplify_ground_complete(pf.equations, pf.rules, order,
+                                              fuel_of(args))
+    except RuntimeError as e:
+        raise CliError(str(e), EXIT_MAYBE)
     print(show_system(rules, eqs, args.string))
     return EXIT_YES
 
@@ -329,8 +331,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--fuel", type=int, default=None,
                        help="inferences for complete*, rewrite steps "
                        "otherwise (default 10000 or $KBD_FUEL)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized helpers")
         if order_flags:
             p.add_argument("--order", default="lpo",
                            choices=["lpo", "kbo", "ground-derived"])
@@ -376,7 +376,7 @@ def make_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--script", required=True, help="trace file to replay")
     p.add_argument("--variant", default="kbf",
-                   choices=["kbf", "kbg", "kbi", "kbo", "kbl"])
+                   choices=list(CALCULI))
     p.set_defaults(fn=cmd_replay)
 
     return parser
@@ -388,8 +388,6 @@ def entry(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_YES
-    if getattr(args, "seed", None) is not None:
-        random.seed(args.seed)
     try:
         return args.fn(args)
     except ParseError as e:

@@ -1,14 +1,17 @@
 """Knuth-Bendix completion: inference steps, run states and engines.
 
-Three engines share one inference kernel:
+One inference system has five instances, which differ only in the side
+conditions that :data:`CALCULI` records for each:
 
-* ``run_kbf`` -- classic completion for finite runs; collapse may use any
+* ``kbf`` -- classic completion for finite runs; collapse may use any
   rule of the remaining system.
-* ``run_kbg`` -- completion of ground systems; no deduction is needed and
+* ``kbg`` -- completion of ground systems; no deduction is needed and
   every run terminates.
-* ``run_kbi`` -- completion sound for infinite runs; collapse is only
+* ``kbi`` -- completion sound for infinite runs; collapse is only
   allowed when the collapsed left-hand side properly encompasses the
   left-hand side of the rule used.
+* ``kbo`` and ``kbl`` -- ordered and linear completion; their engines are
+  in :mod:`kbd.ordered`.
 
 Every state change is an :class:`Inference`; a run's trace can be printed
 and replayed step by step, with all side conditions re-checked.
@@ -21,16 +24,52 @@ from typing import NamedTuple, Optional, Sequence
 
 from .critical_pairs import oriented_views, overlap_at, pair_overlaps
 from .orders import OrderSpec
-from .rewriting import (StepReport, conversion_oracle, is_normal_form,
-                        normalize, rewrite_step)
+from .rewriting import (_equation_views, _rule_views, conversion_oracle,
+                        innermost_redex, normalize)
 from .terms import (Equation, Fun, InvalidPosition, Position, Rule, RuleLike,
-                    Term, apply_subst, canonical_pair, equation_variants,
+                    Term, Var, apply_subst, canonical_pair, equation_variants,
                     match, pair_variants, properly_encompasses, replace_at,
                     size, subterm_at, subterms, variables)
 
 
 class SideConditionError(Exception):
     """An inference step whose side condition does not hold."""
+
+
+@dataclass(frozen=True)
+class Calculus:
+    """The side conditions of one instance of the completion calculus."""
+
+    deduces: bool = True          # deduce is an inference of the calculus
+    ordered: bool = False         # peaks over E± ∪ R under the ordering
+                                  # conditions; a run never fails
+    equation_steps: bool = False  # simplify, compose and collapse may use
+                                  # decreasing equation instances
+    encompassing: bool = False    # collapse needs proper encompassment
+    linear: bool = False          # deduce adds linear equations only
+    composes: bool = False        # the engine composes while interreducing
+                                  # (a strategy, not a side condition)
+    deduce_word: str = "deduce"   # starts a deduce line in traces
+
+
+CALCULI = {
+    "kbf": Calculus(),
+    "kbg": Calculus(deduces=False, composes=True),
+    "kbi": Calculus(encompassing=True),
+    "kbo": Calculus(ordered=True, equation_steps=True, encompassing=True,
+                    composes=True, deduce_word="deduce-ext"),
+    "kbl": Calculus(ordered=True, encompassing=True, linear=True,
+                    composes=True, deduce_word="deduce-lin"),
+}
+
+
+def calculus(variant: str) -> Calculus:
+    """The calculus of a variant name; ValueError for an unknown one."""
+    try:
+        return CALCULI[variant]
+    except KeyError:
+        raise ValueError("unknown calculus %r (one of %s)"
+                         % (variant, ", ".join(CALCULI)))
 
 
 @dataclass
@@ -92,16 +131,7 @@ class Inference:
 
 
 def is_linear(t: Term) -> bool:
-    names = []
-
-    def walk(u):
-        if hasattr(u, "name"):
-            names.append(u.name)
-        else:
-            for a in u.args:
-                walk(a)
-
-    walk(t)
+    names = [u.name for u in subterms(t) if isinstance(u, Var)]
     return len(names) == len(set(names))
 
 
@@ -203,7 +233,7 @@ def _check_peak(state: RunState, eq: Equation, peak: Peak, ordered: bool,
                                  % (o.pair(), eq))
 
 
-def _deduce_ok(state: RunState, eq: Equation, variant: str,
+def _deduce_ok(state: RunState, eq: Equation, ordered: bool,
                order: OrderSpec) -> bool:
     """A deduce that names no peak must come from some peak of the
     current system.
@@ -221,25 +251,23 @@ def _deduce_ok(state: RunState, eq: Equation, variant: str,
 
     if some_peak(state.R):
         return True
-    pairs = list(state.R) + (list(state.E) if variant in ("kbo", "kbl") else [])
+    pairs = list(state.R) + (list(state.E) if ordered else [])
     cap = max(size(eq.lhs), size(eq.rhs)) + \
         max([max(size(p.lhs), size(p.rhs)) for p in pairs] or [0]) + 2
     if conversion_oracle(pairs, eq.lhs, eq.rhs, depth=2, size_cap=cap):
         return True
-    if variant in ("kbo", "kbl"):
-        return some_peak(oriented_views(state.E, state.R), order)
-    return False
+    return ordered and some_peak(oriented_views(state.E, state.R), order)
 
 
 def apply_inference(state: RunState, inf: Inference, variant: str,
                     order: OrderSpec):
     """Apply one inference to ``state`` in place, checking side conditions.
 
-    ``variant`` is one of 'kbf', 'kbg', 'kbi', 'kbo', 'kbl' and selects
-    which side conditions govern simplify, compose, collapse and deduce.
+    ``variant`` names an entry of :data:`CALCULI`, whose side conditions
+    govern simplify, compose, collapse and deduce.
     """
     kind = inf.kind
-    ordered = variant in ("kbo", "kbl")
+    calc = calculus(variant)
 
     if kind == "orient":
         i = _find_equation(state, inf.equation)
@@ -263,15 +291,15 @@ def apply_inference(state: RunState, inf: Inference, variant: str,
         return
 
     if kind == "deduce":
-        if variant == "kbg":
+        if not calc.deduces:
             raise SideConditionError("ground completion has no deduce rule")
         eq = inf.equation
-        if variant == "kbl" and not (is_linear(eq.lhs) and is_linear(eq.rhs)):
+        if calc.linear and not (is_linear(eq.lhs) and is_linear(eq.rhs)):
             raise SideConditionError("linear completion deduces only "
                                      "linear equations: %s" % eq)
         if inf.peak is not None:
-            _check_peak(state, eq, inf.peak, ordered, order)
-        elif not _deduce_ok(state, eq, variant, order):
+            _check_peak(state, eq, inf.peak, calc.ordered, order)
+        elif not _deduce_ok(state, eq, calc.ordered, order):
             raise SideConditionError("no peak yields %s" % eq)
         _record_equation(state, eq)
         return
@@ -286,8 +314,8 @@ def apply_inference(state: RunState, inf: Inference, variant: str,
         # the rewritten side properly encompasses the equation's lhs
         new_term = _rewrite_with_ref(
             state, term, inf.pos or (), inf.ref, inf.ref_rev, order,
-            allow_equations=(variant == "kbo"),
-            encompass=(variant == "kbo" and inf.ref[0] == "eq"))
+            allow_equations=calc.equation_steps,
+            encompass=inf.ref is not None and inf.ref[0] == "eq")
         new_eq = Equation(new_term, eq.rhs) if inf.side == "lhs" \
             else Equation(eq.lhs, new_term)
         state.E[i] = new_eq
@@ -298,17 +326,16 @@ def apply_inference(state: RunState, inf: Inference, variant: str,
         rule = _check_rule_index(state, inf.target)
         new_rhs = _rewrite_with_ref(
             state, rule.rhs, inf.pos or (), inf.ref, inf.ref_rev, order,
-            exclude_rule=inf.target, allow_equations=(variant == "kbo"))
+            exclude_rule=inf.target, allow_equations=calc.equation_steps)
         state.R[inf.target] = Rule(rule.lhs, new_rhs)
         return
 
     if kind == "collapse":
         rule = _check_rule_index(state, inf.target)
-        encompass = variant in ("kbi", "kbo", "kbl")
         new_lhs = _rewrite_with_ref(
             state, rule.lhs, inf.pos or (), inf.ref, inf.ref_rev, order,
-            exclude_rule=inf.target, allow_equations=(variant == "kbo"),
-            encompass=encompass)
+            exclude_rule=inf.target, allow_equations=calc.equation_steps,
+            encompass=calc.encompassing)
         del state.R[inf.target]
         _record_equation(state, Equation(new_lhs, rule.rhs))
         return
@@ -338,30 +365,27 @@ def _priority(eq: Equation):
     return (size(eq.lhs) + size(eq.rhs), str(eq))
 
 
-def _indexed_step(pairs: list[tuple[int, Rule]], t: Term):
-    """Leftmost-innermost step using an index-labelled rule list."""
-    rep = rewrite_step([r for _, r in pairs], t)
-    if rep is None:
-        return None
-    return StepReport(rep.position, pairs[rep.index][0], rep.result)
-
-
 class _Driver:
-    """Shared engine loop for the kbf/kbg/kbi variants."""
+    """The engine loop of every calculus; :mod:`kbd.ordered` subclasses it
+    for the ordered rewrite relation of kbo and kbl."""
 
     def __init__(self, eqs, order: OrderSpec, variant: str,
-                 fuel: Optional[int], do_compose: bool):
+                 fuel: Optional[int]):
         self.state = RunState.start(eqs)
         self.order = order
         self.variant = variant
+        self.calculus = calculus(variant)
         self.fuel = fuel
-        self.do_compose = do_compose
         self.trace: list[Inference] = []
         self.parked: set[Equation] = set()
         # an id for every peak view seen, and the overlaps of each pair of
         # current views by their ids
         self.view_ids: dict[RuleLike, int] = {}
         self.pair_peaks: dict[tuple[int, int], tuple] = {}
+        # canonical pairs of e_union's members, both ways round, and how
+        # much of the append-only e_union they cover
+        self.recorded: set = set()
+        self.recorded_upto = 0
 
     def spent(self) -> bool:
         return self.fuel is not None and len(self.trace) >= self.fuel
@@ -370,67 +394,71 @@ class _Driver:
         apply_inference(self.state, inf, self.variant, self.order)
         self.trace.append(inf)
 
-    def collapse_candidates(self, m: int) -> list[tuple[int, Rule]]:
-        rule = self.state.R[m]
-        out = []
-        for j, r in enumerate(self.state.R):
-            if j == m:
-                continue
-            if self.variant in ("kbi", "kbl") and \
-                    not properly_encompasses(rule.lhs, r.lhs):
-                continue
-            out.append((j, r))
-        return out
+    def step(self, term: Term, rules: list, encompass: bool,
+             eq_encompass: bool, skip_eq: Optional[Equation] = None):
+        """The leftmost-innermost step on ``term`` with one of the
+        candidate ``rules``, or else, in a calculus with equation steps,
+        with a decreasing instance of an equation other than ``skip_eq``:
+        ``(pos, ref, result)`` or None.  The flags demand that ``term``
+        properly encompass the rule's or the equation's side used."""
+        hit = innermost_redex(term, rules, encompass=encompass)
+        if hit is None and self.calculus.equation_steps:
+            E = self.state.E
+            skip = None if skip_eq is None else E.index(skip_eq)
+            hit = innermost_redex(term, _equation_views(E, skip), self.order,
+                                  eq_encompass)
+        return hit
 
     def interreduce(self):
         """Collapse (and optionally compose) until no rule is reducible."""
-        changed = True
-        while changed and not self.spent():
-            changed = False
-            for m in range(len(self.state.R)):
-                rule = self.state.R[m]
-                rep = _indexed_step(self.collapse_candidates(m), rule.lhs)
-                if rep is not None:
-                    self.emit(Inference("collapse", target=m,
-                                        pos=rep.position,
-                                        ref=("rule", rep.index)))
-                    self.parked.clear()
-                    changed = True
+        while not self.spent():
+            for m, rule in enumerate(self.state.R):
+                others = _rule_views(self.state.R, skip=m)
+                hit = self.step(rule.lhs, others, self.calculus.encompassing,
+                                True)
+                kind = "collapse"
+                if hit is None and self.calculus.composes:
+                    hit = self.step(rule.rhs, others, False, False)
+                    kind = "compose"
+                if hit is not None:
+                    pos, (ref, rev), _ = hit
+                    self.emit(Inference(kind, target=m, pos=pos, ref=ref,
+                                        ref_rev=rev))
+                    if kind == "collapse":
+                        self.parked.clear()
                     break
-                if self.do_compose:
-                    others = [(j, r) for j, r in enumerate(self.state.R)
-                              if j != m]
-                    rep = _indexed_step(others, rule.rhs)
-                    if rep is not None:
-                        self.emit(Inference("compose", target=m,
-                                            pos=rep.position,
-                                            ref=("rule", rep.index)))
-                        changed = True
-                        break
+            else:
+                return
 
     def simplify_to_normal_form(self, eq: Equation) -> Equation:
+        rules = _rule_views(self.state.R)
         for side in ("lhs", "rhs"):
             while not self.spent():
                 term = eq.lhs if side == "lhs" else eq.rhs
-                rep = rewrite_step(self.state.R, term)
-                if rep is None:
+                hit = self.step(term, rules, False, True, skip_eq=eq)
+                if hit is None:
                     break
+                pos, (ref, rev), result = hit
                 self.emit(Inference("simplify", equation=eq, side=side,
-                                    pos=rep.position,
-                                    ref=("rule", rep.index)))
-                eq = Equation(rep.result, eq.rhs) if side == "lhs" \
-                    else Equation(eq.lhs, rep.result)
+                                    pos=pos, ref=ref, ref_rev=rev))
+                eq = Equation(result, eq.rhs) if side == "lhs" \
+                    else Equation(eq.lhs, result)
         return eq
 
     def peak_views(self) -> list[tuple[tuple, RuleLike]]:
-        """The participants of critical peaks, with their references."""
-        return [((("rule", k), False), r) for k, r in enumerate(self.state.R)]
+        """The participants of critical peaks, with their references; they
+        also make up the rewrite relation (with the order applying to
+        equation views) under which a peak is prime."""
+        return _rule_views(self.state.R)
 
     def peak_overlaps(self, outer: RuleLike, inner: RuleLike):
         return pair_overlaps(outer, inner)
 
-    def irreducible(self, t: Term) -> bool:
-        return is_normal_form(self.state.R, t)
+    def joins(self, s: Term, t: Term) -> bool:
+        """Do ``s`` and ``t`` reach the same normal form (which exists,
+        the rewrite relation being contained in a reduction order)?"""
+        l = normalize(self.state.R, s, 2000)
+        return l is not None and l == normalize(self.state.R, t, 2000)
 
     def prime_peaks(self) -> list[tuple[Equation, Peak]]:
         """The prime critical pairs of the current system, each with the
@@ -439,8 +467,9 @@ class _Driver:
         The overlaps of a pair of views depend on the two views alone, so
         each pair's are computed once; each scan keeps only the pairs of
         current views and re-checks primality, which depends on the whole
-        system.  A redex is prime when its arguments are irreducible, since
-        a reducible subterm makes every term around it reducible.
+        system.  A redex is prime when its arguments are irreducible by
+        the peak views, since a reducible subterm makes every term around
+        it reducible.
         """
         views = self.peak_views()
         ids = [self.view_ids.setdefault(view, len(self.view_ids))
@@ -456,7 +485,8 @@ class _Driver:
                                   for o in self.peak_overlaps(outer, inner))
                 self.pair_peaks[oid, iid] = found
                 for pos, pair, redex in found:
-                    if not all(self.irreducible(a) for a in redex.args):
+                    if any(innermost_redex(a, views, self.order)
+                           for a in redex.args):
                         continue
                     key = canonical_pair(pair)
                     if key not in seen:
@@ -464,32 +494,33 @@ class _Driver:
                         out.append((pair, Peak(oref, iref, pos)))
         return out
 
+    def recorded_variant(self, eq: Equation) -> bool:
+        """Is ``eq`` a variant of a member of ``e_union``, either way round?"""
+        for e in self.state.e_union[self.recorded_upto:]:
+            self.recorded.add(canonical_pair(e))
+            self.recorded.add(canonical_pair(e.reversed()))
+        self.recorded_upto = len(self.state.e_union)
+        return canonical_pair(eq) in self.recorded
+
     def fairness_gap(self) -> list[tuple[Equation, Peak]]:
-        """Prime critical pairs of the current rules not yet accounted for,
-        with their peaks.
+        """Prime critical pairs of the current system not yet accounted
+        for, with their peaks.
 
-        A pair is covered when both sides reach the same normal form in
-        the current rules (which terminate, being oriented by a reduction
-        order) or the two sides are connected by a single step with a
-        recorded equation.
+        A pair is covered when its sides join in their normal forms or a
+        single step with a recorded equation connects them.  The ordered
+        calculi, which keep equations unoriented, also count a variant of
+        a recorded equation, which a single step misses when the sides
+        differ in their variables; they test it first, as it is cheapest.
         """
-        if self.variant == "kbg":
+        if not self.calculus.deduces:
             return []
-        gap = []
-        for eq, peak in self.prime_peaks():
-            if eq.is_trivial():
-                continue
-            l = normalize(self.state.R, eq.lhs, 2000)
-            r = normalize(self.state.R, eq.rhs, 2000)
-            if l is not None and l == r:
-                continue
-            if single_step_connects(self.state.e_union, eq.lhs, eq.rhs):
-                continue
-            gap.append((eq, peak))
-        return gap
-
-    def can_fail(self) -> bool:
-        return True
+        ordered = self.calculus.ordered
+        return [(eq, peak) for eq, peak in self.prime_peaks()
+                if not (eq.is_trivial()
+                        or ordered and self.recorded_variant(eq)
+                        or self.joins(eq.lhs, eq.rhs)
+                        or single_step_connects(self.state.e_union,
+                                                eq.lhs, eq.rhs))]
 
     def run(self) -> RunResult:
         while True:
@@ -505,7 +536,7 @@ class _Driver:
                         self.emit(Inference("deduce", equation=eq,
                                             peak=peak))
                     continue
-                if self.state.E and self.can_fail():
+                if self.state.E and not self.calculus.ordered:
                     return RunResult("fail", self.state, self.trace,
                                      stuck=list(self.state.E))
                 return RunResult("success", self.state, self.trace)
@@ -567,7 +598,7 @@ def single_step_connects(eqs: Sequence[Equation], s: Term, t: Term) -> bool:
 def run_kbf(eqs: Sequence[Equation], order: OrderSpec,
             fuel: Optional[int] = 10000) -> RunResult:
     """Classic Knuth-Bendix completion (finite runs)."""
-    return _Driver(eqs, order, "kbf", fuel, do_compose=False).run()
+    return _Driver(eqs, order, "kbf", fuel).run()
 
 
 def run_kbg(eqs: Sequence[Equation], order: OrderSpec) -> RunResult:
@@ -577,14 +608,14 @@ def run_kbg(eqs: Sequence[Equation], order: OrderSpec) -> RunResult:
         if variables(eq.lhs) or variables(eq.rhs):
             raise ValueError("ground completion needs ground equations: %s"
                              % eq)
-    return _Driver(eqs, order, "kbg", None, do_compose=True).run()
+    return _Driver(eqs, order, "kbg", None).run()
 
 
 def run_kbi(eqs: Sequence[Equation], order: OrderSpec,
             fuel: Optional[int] = 10000) -> RunResult:
     """Completion sound for infinite runs: collapse demands proper
     encompassment, so persistent rules are never destroyed."""
-    return _Driver(eqs, order, "kbi", fuel, do_compose=False).run()
+    return _Driver(eqs, order, "kbi", fuel).run()
 
 
 def replay(eqs: Sequence[Equation], rules: Sequence[Rule],

@@ -16,174 +16,38 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .completion import (Inference, Peak, RunResult, _Driver, _indexed_step,
-                         is_linear, single_step_connects)
-from .critical_pairs import dedup_pairs, oriented_views, pair_overlaps
+from .completion import RunResult, _Driver, is_linear
+from .critical_pairs import dedup_pairs, pair_overlaps
 from .orders import OrderSpec
-from .rewriting import (normalize, ordered_normalize, ordered_step,
-                        rewrite_step)
+from .rewriting import (_equation_views, _rule_views, normalize,
+                        ordered_normalize)
 from .terms import (Equation, Rule, RuleLike, Term, Var, apply_subst,
-                    canonical_pair, canonical_terms, literally_similar, match,
-                    pair_variants, positions, postorder_positions,
-                    properly_encompasses, replace_at, subterm_at, variables)
-
-
-def _eq_step(state, order: OrderSpec, t: Term, skip: Optional[int] = None,
-             encompass: bool = True):
-    """First decreasing equation-instance step on ``t``, innermost first.
-
-    Returns ``(pos, eq_index, reversed)`` or None.  With ``encompass`` the
-    whole term must properly encompass the equation side being used.
-    """
-    for pos in postorder_positions(t):
-        sub = subterm_at(t, pos)
-        for j, eq in enumerate(state.E):
-            if j == skip:
-                continue
-            for rev, (l, r) in enumerate(((eq.lhs, eq.rhs),
-                                          (eq.rhs, eq.lhs))):
-                sigma = match(l, sub)
-                if sigma is None:
-                    continue
-                if not order.gt(sub, apply_subst(sigma, r)):
-                    continue
-                if encompass and not properly_encompasses(t, l):
-                    continue
-                return pos, j, bool(rev)
-    return None
+                    canonical_terms, literally_similar, match, pair_variants,
+                    positions, properly_encompasses, replace_at, subterm_at,
+                    variables)
 
 
 class _OrderedDriver(_Driver):
-    """Engine loop for ordered ('kbo') and linear ('kbl') completion."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # canonical pairs of e_union's members, both ways round, and how
-        # much of the append-only e_union they cover
-        self.recorded: set = set()
-        self.recorded_upto = 0
-
-    def can_fail(self) -> bool:
-        return False
-
-    def simplify_to_normal_form(self, eq: Equation) -> Equation:
-        changed = True
-        while changed and not self.spent():
-            changed = False
-            for side in ("lhs", "rhs"):
-                term = eq.lhs if side == "lhs" else eq.rhs
-                rep = rewrite_step(self.state.R, term)
-                if rep is not None:
-                    self.emit(Inference("simplify", equation=eq, side=side,
-                                        pos=rep.position,
-                                        ref=("rule", rep.index)))
-                    eq = Equation(rep.result, eq.rhs) if side == "lhs" \
-                        else Equation(eq.lhs, rep.result)
-                    changed = True
-                    break
-                if self.variant == "kbo":
-                    i = self.state.E.index(eq)
-                    hit = _eq_step(self.state, self.order, term, skip=i)
-                    if hit is not None:
-                        pos, j, rev = hit
-                        self.emit(Inference("simplify", equation=eq,
-                                            side=side, pos=pos,
-                                            ref=("eq", j), ref_rev=rev))
-                        new = self.state.E[i]
-                        eq = new
-                        changed = True
-                        break
-        return eq
-
-    def interreduce(self):
-        changed = True
-        while changed and not self.spent():
-            changed = False
-            for m in range(len(self.state.R)):
-                rule = self.state.R[m]
-                rep = _indexed_step(self.collapse_candidates(m), rule.lhs)
-                if rep is not None:
-                    self.emit(Inference("collapse", target=m,
-                                        pos=rep.position,
-                                        ref=("rule", rep.index)))
-                    self.parked.clear()
-                    changed = True
-                    break
-                if self.variant == "kbo":
-                    hit = _eq_step(self.state, self.order, rule.lhs)
-                    if hit is not None:
-                        pos, j, rev = hit
-                        self.emit(Inference("collapse", target=m, pos=pos,
-                                            ref=("eq", j), ref_rev=rev))
-                        self.parked.clear()
-                        changed = True
-                        break
-                others = [(j, r) for j, r in enumerate(self.state.R)
-                          if j != m]
-                rep = _indexed_step(others, rule.rhs)
-                if rep is not None:
-                    self.emit(Inference("compose", target=m,
-                                        pos=rep.position,
-                                        ref=("rule", rep.index)))
-                    changed = True
-                    break
-                if self.variant == "kbo":
-                    hit = _eq_step(self.state, self.order, rule.rhs,
-                                   encompass=False)
-                    if hit is not None:
-                        pos, j, rev = hit
-                        self.emit(Inference("compose", target=m, pos=pos,
-                                            ref=("eq", j), ref_rev=rev))
-                        changed = True
-                        break
-
-    def collapse_candidates(self, m: int):
-        rule = self.state.R[m]
-        return [(j, r) for j, r in enumerate(self.state.R)
-                if j != m and properly_encompasses(rule.lhs, r.lhs)]
+    """The engine loop over the ordered rewrite relation of E and R, for
+    ordered ('kbo') and linear ('kbl') completion."""
 
     def peak_views(self) -> list[tuple[tuple, RuleLike]]:
-        refs = [(("rule", k), False) for k in range(len(self.state.R))] + \
-            [(("eq", j), rev) for j in range(len(self.state.E))
-             for rev in (False, True)]
-        return list(zip(refs, oriented_views(self.state.E, self.state.R)))
+        return _rule_views(self.state.R) + _equation_views(self.state.E)
 
     def peak_overlaps(self, outer: RuleLike, inner: RuleLike):
         return pair_overlaps(outer, inner, self.order,
-                             linear=(self.variant == "kbl"))
+                             linear=self.calculus.linear)
 
-    def irreducible(self, t: Term) -> bool:
-        return ordered_step(self.state.E, self.state.R, self.order, t) is None
-
-    def fairness_gap(self) -> list[tuple[Equation, Peak]]:
-        """Prime extended (for kbl: linear) critical pairs not accounted
-        for, with their peaks."""
-        for e in self.state.e_union[self.recorded_upto:]:
-            self.recorded.add(canonical_pair(e))
-            self.recorded.add(canonical_pair(e.reversed()))
-        self.recorded_upto = len(self.state.e_union)
-        gap = []
-        for eq, peak in self.prime_peaks():
-            if eq.is_trivial():
-                continue
-            if canonical_pair(eq) in self.recorded:
-                continue
-            if single_step_connects(self.state.e_union, eq.lhs, eq.rhs):
-                continue
-            l = ordered_normalize(self.state.E, self.state.R, self.order,
-                                  eq.lhs, 2000)
-            r = ordered_normalize(self.state.E, self.state.R, self.order,
-                                  eq.rhs, 2000)
-            if l is not None and l == r:
-                continue
-            gap.append((eq, peak))
-        return gap
+    def joins(self, s: Term, t: Term) -> bool:
+        l = ordered_normalize(self.state.E, self.state.R, self.order, s, 2000)
+        return l is not None and l == ordered_normalize(
+            self.state.E, self.state.R, self.order, t, 2000)
 
 
 def run_kbo(eqs: Sequence[Equation], order: OrderSpec,
             fuel: Optional[int] = 10000) -> RunResult:
     """Ordered completion; quiesces with a ground-complete (E, R)."""
-    return _OrderedDriver(eqs, order, "kbo", fuel, do_compose=True).run()
+    return _OrderedDriver(eqs, order, "kbo", fuel).run()
 
 
 def run_kbl(eqs: Sequence[Equation], order: OrderSpec,
@@ -193,7 +57,7 @@ def run_kbl(eqs: Sequence[Equation], order: OrderSpec,
     for eq in eqs:
         if not (is_linear(eq.lhs) and is_linear(eq.rhs)):
             raise ValueError("linear completion needs linear input: %s" % eq)
-    return _OrderedDriver(eqs, order, "kbl", fuel, do_compose=True).run()
+    return _OrderedDriver(eqs, order, "kbl", fuel).run()
 
 
 def ground_joinable(eqs: Sequence[Equation], rules: Sequence[Rule],
@@ -278,10 +142,7 @@ def encompass_reducible(eqs: Sequence[Equation], rules: Sequence[Rule],
     for rule in rules:
         if properly_encompasses(t, rule.lhs):
             return True
-    oriented = []
-    for eq in eqs:
-        oriented.append((eq.lhs, eq.rhs))
-        oriented.append((eq.rhs, eq.lhs))
+    oriented = [(view.lhs, view.rhs) for _, view in _equation_views(eqs)]
     gens = None
     for pos in positions(t):
         sub = subterm_at(t, pos)
@@ -315,8 +176,16 @@ def simplify_ground_complete(eqs: Sequence[Equation],
     normalized; rules whose left-hand side is reducible strictly below
     itself (in the encompassment order) by the original system are
     dropped; finally the equations are normalized with the surviving
-    rules and trivial ones removed.
+    rules and trivial ones removed.  Raises RuntimeError when a term does
+    not normalize within ``fuel`` steps.
     """
+    def nf(system, t):
+        out = normalize(system, t, fuel)
+        if out is None:
+            raise RuntimeError("%s does not normalize within %d steps"
+                               % (t, fuel))
+        return out
+
     q = list(rules)
     for eq in eqs:
         for (l, r) in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
@@ -325,19 +194,14 @@ def simplify_ground_complete(eqs: Sequence[Equation],
                 q.append(Rule(l, r))
     qdot = []
     for rule in q:
-        nf = normalize(q, rule.rhs, fuel)
-        if nf is None:
-            nf = rule.rhs
-        cand = Rule(rule.lhs, nf)
+        cand = Rule(rule.lhs, nf(q, rule.rhs))
         if not any(pair_variants(cand, other) for other in qdot):
             qdot.append(cand)
     new_rules = [rule for rule in qdot
                  if not encompass_reducible(eqs, rules, order, rule.lhs)]
     new_eqs = []
     for eq in eqs:
-        l = normalize(new_rules, eq.lhs, fuel)
-        r = normalize(new_rules, eq.rhs, fuel)
-        if l is None or r is None or l == r:
-            continue
-        new_eqs.append(Equation(l, r))
+        l, r = nf(new_rules, eq.lhs), nf(new_rules, eq.rhs)
+        if l != r:
+            new_eqs.append(Equation(l, r))
     return dedup_pairs(new_eqs), new_rules

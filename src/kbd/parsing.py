@@ -29,16 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .completion import Inference, Peak
+from .completion import CALCULI, Inference, Peak, calculus
 from .terms import (Equation, Fun, Position, Rule, Signature, Term, Var)
 
 
 class ParseError(ValueError):
     """Malformed problem file or trace."""
-
-
-def tokenize(text: str) -> list[str]:
-    return [tok for tok, _, _ in _located_tokens(text)]
 
 
 def _located_tokens(text: str) -> list[tuple[str, int, int]]:
@@ -270,7 +266,7 @@ def _format_ref(ref, ref_rev: bool) -> str:
     return out
 
 
-_DEDUCE_WORDS = {"kbo": "deduce-ext", "kbl": "deduce-lin"}
+_DEDUCE_WORDS = {c.deduce_word for c in CALCULI.values()}
 
 
 def format_inference(inf: Inference, variant: str = "kbf") -> str:
@@ -282,7 +278,7 @@ def format_inference(inf: Inference, variant: str = "kbf") -> str:
     if inf.kind == "delete":
         return "delete %s" % inf.equation
     if inf.kind == "deduce":
-        out = "%s %s" % (_DEDUCE_WORDS.get(variant, "deduce"), inf.equation)
+        out = "%s %s" % (calculus(variant).deduce_word, inf.equation)
         if inf.peak is not None:
             outer, inner, pos = inf.peak
             out += " from %s %s at %s" % (
@@ -322,6 +318,13 @@ def _parse_ref(ts: _Tokens):
 
 def parse_inference(line: str, is_var: Callable[[str], bool]) -> Inference:
     ts = _Tokens(_located_tokens(line))
+    inf = _parse_step(ts, is_var)
+    if not ts.done():
+        raise ParseError("trailing input after the step: %r" % ts.peek())
+    return inf
+
+
+def _parse_step(ts: _Tokens, is_var: Callable[[str], bool]) -> Inference:
     kind = ts.next()
     if kind == "orient":
         lhs = parse_term(ts, is_var)
@@ -333,7 +336,7 @@ def parse_inference(line: str, is_var: Callable[[str], bool]) -> Inference:
             return Inference("orient", equation=Equation(rhs, lhs),
                              reverse=True)
         raise ParseError("orient needs -> or <-, found %r" % op)
-    if kind in ("delete", "deduce", "deduce-ext", "deduce-lin"):
+    if kind == "delete" or kind in _DEDUCE_WORDS:
         lhs = parse_term(ts, is_var)
         ts.expect("==")
         rhs = parse_term(ts, is_var)

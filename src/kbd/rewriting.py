@@ -2,7 +2,9 @@
 
 The single-step strategy everywhere is leftmost-innermost: arguments are
 searched left to right before the root, so repeated stepping computes a
-unique innermost normal form.  Exhaustive one-step successors (all redexes,
+unique innermost normal form.  One search, :func:`innermost_redex`, finds
+that step for rules, for decreasing equation instances and for the
+completion engines.  Exhaustive one-step successors (all redexes,
 all rules) are also provided for confluence checks and oracles.
 
 Searches take a ``fuel`` budget counted in rewrite steps.  Running out of
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .orders import OrderSpec
 from .terms import (Equation, Position, Rule, Term, Var, apply_subst,
@@ -21,46 +23,8 @@ from .terms import (Equation, Position, Rule, Term, Var, apply_subst,
                     subterm_at)
 
 
-@dataclass(frozen=True)
-class TRS:
-    """An ordered collection of rewrite rules."""
-
-    rules: tuple[Rule, ...] = ()
-
-    def __iter__(self) -> Iterator[Rule]:
-        return iter(self.rules)
-
-    def __len__(self):
-        return len(self.rules)
-
-    def __getitem__(self, i) -> Rule:
-        return self.rules[i]
-
-    def __str__(self):
-        return "\n".join(str(r) for r in self.rules)
-
-
-@dataclass(frozen=True)
-class ES:
-    """An ordered collection of equations."""
-
-    equations: tuple[Equation, ...] = ()
-
-    def __iter__(self) -> Iterator[Equation]:
-        return iter(self.equations)
-
-    def __len__(self):
-        return len(self.equations)
-
-    def __getitem__(self, i) -> Equation:
-        return self.equations[i]
-
-    def __str__(self):
-        return "\n".join(str(e) for e in self.equations)
-
-
-Rules = Union[TRS, Sequence[Rule]]
-Eqns = Union[ES, Sequence[Equation]]
+Rules = Sequence[Rule]
+Eqns = Sequence[Equation]
 
 
 @dataclass(frozen=True)
@@ -74,26 +38,80 @@ class StepReport:
     oriented_from_rhs: bool = False
 
 
+def _rule_views(rules: Rules, skip: Optional[int] = None) -> list:
+    """The candidates of :func:`innermost_redex` for the rules but
+    rule#skip."""
+    return [((("rule", k), False), rule) for k, rule in enumerate(rules)
+            if k != skip]
+
+
+def _equation_views(eqs: Eqns, skip: Optional[int] = None) -> list:
+    """The candidates for the equations but eq#skip, each read both ways."""
+    return [((("eq", j), rev), eq.reversed() if rev else eq)
+            for j, eq in enumerate(eqs) if j != skip for rev in (False, True)]
+
+
+def _contract(t: Term, candidates, order, whole):
+    """The first candidate applicable at the root of ``t``, as
+    ``(ref, reduct)``, or None."""
+    for ref, view in candidates:
+        sigma = match(view.lhs, t)
+        if sigma is None:
+            continue
+        reduct = apply_subst(sigma, view.rhs)
+        if order is not None and ref[0][0] == "eq" and \
+                not order.gt(t, reduct):
+            continue
+        if whole is not None and not properly_encompasses(whole, view.lhs):
+            continue
+        return ref, reduct
+    return None
+
+
+def _redex(t: Term, candidates, order, whole):
+    if isinstance(t, Var):
+        return None
+    for i, a in enumerate(t.args, start=1):
+        hit = _redex(a, candidates, order, whole)
+        if hit is not None:
+            pos, ref, result = hit
+            return (i,) + pos, ref, replace_at(t, (i,), result)
+    hit = _contract(t, candidates, order, whole)
+    return None if hit is None else ((), hit[0], hit[1])
+
+
+def innermost_redex(t: Term, candidates, order: Optional[OrderSpec] = None,
+                    encompass: bool = False):
+    """The leftmost-innermost step on ``t``: ``(pos, ref, result)`` or None.
+
+    ``candidates`` are ``(ref, view)`` pairs, tried in order at each
+    position: ``ref`` is ``(('rule', k), False)`` for a rule, or
+    ``(('eq', j), rev)`` for an equation read right-to-left when ``rev``,
+    and ``view`` is that rule or oriented equation.  With ``order``, an
+    equation view applies only where its instance is decreasing; with
+    ``encompass``, a view applies only when ``t`` properly encompasses its
+    left-hand side.  ``result`` is ``t`` after the step.
+    """
+    return _redex(t, candidates, order, t if encompass else None)
+
+
+def _report(hit) -> Optional[StepReport]:
+    if hit is None:
+        return None
+    pos, ((space, index), rev), result = hit
+    return StepReport(pos, index, result, space == "eq", rev)
+
+
 def step_at(rules: Rules, t: Term, pos: Position) -> Optional[StepReport]:
     """First rule (in order) applicable to ``t`` at ``pos``."""
-    sub = subterm_at(t, pos)
-    for i, rule in enumerate(rules):
-        sigma = match(rule.lhs, sub)
-        if sigma is not None:
-            return StepReport(pos, i, replace_at(t, pos, apply_subst(sigma, rule.rhs)))
-    return None
+    hit = _contract(subterm_at(t, pos), _rule_views(rules), None, None)
+    return None if hit is None else \
+        StepReport(pos, hit[0][0][1], replace_at(t, pos, hit[1]))
 
 
 def rewrite_step(rules: Rules, t: Term) -> Optional[StepReport]:
     """Leftmost-innermost rewrite step, or None if ``t`` is a normal form."""
-    if isinstance(t, Var):
-        return None
-    for i, a in enumerate(t.args, start=1):
-        report = rewrite_step(rules, a)
-        if report is not None:
-            return StepReport((i,) + report.position, report.index,
-                              replace_at(t, (i,), report.result))
-    return step_at(rules, t, ())
+    return _report(innermost_redex(t, _rule_views(rules)))
 
 
 def is_normal_form(rules: Rules, t: Term) -> bool:
@@ -157,37 +175,11 @@ def joinable(rules: Rules, s: Term, t: Term, fuel: int = 1000) -> Optional[bool]
     return False
 
 
-def ordered_step_at(eqs: Eqns, rules: Rules, order: OrderSpec, t: Term,
-                    pos: Position) -> Optional[StepReport]:
-    """Step at ``pos`` with a rule, or with an orientable equation instance."""
-    report = step_at(rules, t, pos)
-    if report is not None:
-        return report
-    sub = subterm_at(t, pos)
-    for j, eq in enumerate(eqs):
-        for rev, (l, r) in enumerate([(eq.lhs, eq.rhs), (eq.rhs, eq.lhs)]):
-            sigma = match(l, sub)
-            if sigma is None:
-                continue
-            lt, rt = apply_subst(sigma, l), apply_subst(sigma, r)
-            if order.gt(lt, rt):
-                return StepReport(pos, j, replace_at(t, pos, rt),
-                                  is_equation=True, oriented_from_rhs=bool(rev))
-    return None
-
-
 def ordered_step(eqs: Eqns, rules: Rules, order: OrderSpec,
                  t: Term) -> Optional[StepReport]:
     """Leftmost-innermost step of the rewrite relation R ∪ E-oriented."""
-    if isinstance(t, Var):
-        return None
-    for i, a in enumerate(t.args, start=1):
-        report = ordered_step(eqs, rules, order, a)
-        if report is not None:
-            return StepReport((i,) + report.position, report.index,
-                              replace_at(t, (i,), report.result),
-                              report.is_equation, report.oriented_from_rhs)
-    return ordered_step_at(eqs, rules, order, t, ())
+    return _report(innermost_redex(
+        t, _rule_views(rules) + _equation_views(eqs), order))
 
 
 def ordered_normalize(eqs: Eqns, rules: Rules, order: OrderSpec, t: Term,
@@ -198,23 +190,6 @@ def ordered_normalize(eqs: Eqns, rules: Rules, order: OrderSpec, t: Term,
             return t
         t = report.result
     return None
-
-
-def encompassment_step(rules: Rules, t: Term) -> Optional[StepReport]:
-    """Leftmost-innermost step restricted to rules properly below ``t``.
-
-    Only rules whose left-hand side is properly encompassed by the whole
-    term ``t`` may fire (the relation written ->⊐ in collapse conditions).
-    """
-    allowed = [i for i, rule in enumerate(rules)
-               if properly_encompasses(t, rule.lhs)]
-    if not allowed:
-        return None
-    sub_rules = [rules[i] for i in allowed]
-    report = rewrite_step(sub_rules, t)
-    if report is None:
-        return None
-    return StepReport(report.position, allowed[report.index], report.result)
 
 
 def conversion_oracle(pairs: Sequence, s: Term, t: Term, depth: int = 4,

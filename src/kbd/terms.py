@@ -39,8 +39,6 @@ Term = Union[Var, Fun]
 Position = tuple[int, ...]
 Subst = dict[str, Term]
 
-ROOT: Position = ()
-
 
 class InvalidPosition(ValueError):
     """Raised when a position does not exist in a term."""

@@ -69,6 +69,15 @@ class TestComplete:
         assert code == 1
         assert out.startswith("FAIL")
 
+    def test_replay_trailing_junk_is_a_parse_error(self, capsys, tmp_path):
+        script = tmp_path / "junk.txt"
+        script.write_text("orient a -> b junk junk\n")
+        code, out, err = run(capsys, "replay", fixture("strategy.es"),
+                             "--script", str(script),
+                             "--prec", "a>b>d,a>c>d")
+        assert code == 3
+        assert out == "" and "PARSE-ERROR" in err
+
     @pytest.mark.parametrize("line", [
         "simplify f(a) == b lhs at 1.1.1 with rule#0",
         "deduce f(b) == f(b) from rule#0 rule#0 at 1.1",
@@ -286,7 +295,8 @@ class TestErrorsAndEnvironment:
         ("reduce", fixture("metivier.trs")),
         ("check-confluence", fixture("metivier.trs")),
         ("decide", fixture("ground.es"), "--prec", "a>b>c>f", "f(f(b)) == a"),
-    ], ids=["reduce", "check-confluence", "decide"])
+        ("reduce-ordered", fixture("interreduce1.trs"), "--prec", "+>s"),
+    ], ids=["reduce", "check-confluence", "decide", "reduce-ordered"])
     def test_zero_fuel_is_honoured(self, capsys, monkeypatch, argv):
         code, _, _ = run(capsys, *argv)
         assert code != 2

@@ -51,6 +51,14 @@ class TestApplyInference:
                             Inference("orient", equation=Equation(b, a)),
                             "kbf", lpo([("a", "b")]))
 
+    def test_unknown_variant_rejected(self):
+        state = RunState.start([Equation(a, b)], [])
+        with pytest.raises(ValueError, match="unknown calculus 'kbx'"):
+            apply_inference(state,
+                            Inference("orient", equation=Equation(a, b)),
+                            "kbx", lpo([("a", "b")]))
+        assert state.E == [Equation(a, b)] and state.R == []
+
     def test_orient_missing_equation_rejected(self):
         state = RunState.start([], [])
         with pytest.raises(SideConditionError):

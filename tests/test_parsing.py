@@ -155,7 +155,12 @@ class TestTraceGrammar:
         for bad in ("deduce a == b by rule#0 rule#1 at e",
                     "deduce a == b from rule#0 at e",
                     "deduce a == b from rule#0 rule#1",
-                    "deduce a == b from eq#0 rule#1 at e"):
+                    "deduce a == b from eq#0 rule#1 at e",
+                    "deduce a == b from rule#0 rule#1 at e junk",
+                    "orient a -> b junk junk",
+                    "delete a == a junk",
+                    "simplify a == b lhs at e with rule#0 extra",
+                    "collapse rule#0 at e with eq#1 rev extra"):
             with pytest.raises(ParseError):
                 parse_inference(bad, is_var)
 

@@ -1,10 +1,15 @@
 """Rewriting: innermost steps, normalization, joinability, ordered steps."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from kbd.orders import OrderSpec, Precedence
 from kbd.rewriting import (all_steps, conversion_oracle, is_normal_form,
                            joinable, normalize, ordered_normalize,
                            ordered_step, rewrite_step, step_at)
-from kbd.terms import Equation, Fun, Rule, Var
+from kbd.terms import (Equation, Fun, Rule, Var, apply_subst, match,
+                       positions, postorder_positions, replace_at, subterm_at,
+                       variables)
 
 from helpers import GROUND_SIG, random_ground_term
 
@@ -127,6 +132,11 @@ class TestOrderedRewriting:
         rep = ordered_step(self.COMM, rules, self.order(), a)
         assert rep.result == b
 
+    def test_rules_before_equations_at_one_position(self):
+        rules = [Rule(plus(b, a), a)]
+        rep = ordered_step(self.COMM, rules, self.order(), plus(b, a))
+        assert rep.result == a and not rep.is_equation
+
 
 class TestConversionOracle:
     def test_chain(self):
@@ -156,3 +166,75 @@ class TestRandomProperties:
         for _ in range(50):
             t = random_ground_term(rng, GROUND_SIG, 3)
             assert joinable(GROUND5, t, t, 1000) is True
+
+
+# -- the shared redex search against a brute-force scan -------------------
+
+LEAVES = st.sampled_from([x, y, a, b])
+TERMS = st.recursive(
+    LEAVES, lambda kids: st.one_of(
+        st.builds(lambda s: Fun("g", (s,)), kids),
+        st.builds(f, kids, kids)),
+    max_leaves=6)
+RULES = st.lists(
+    st.tuples(TERMS, TERMS).filter(
+        lambda p: isinstance(p[0], Fun)
+        and set(variables(p[1])) <= set(variables(p[0]))).map(
+            lambda p: Rule(*p)),
+    max_size=3)
+EQUATIONS = st.lists(st.builds(Equation, TERMS, TERMS), max_size=3)
+LPO = OrderSpec("lpo", Precedence.total(["f", "g", "a", "b"]))
+
+
+def scan_candidates(rules, eqs=()):
+    """(index, is_equation, reversed, lhs, rhs): rules, then each equation
+    left to right and right to left."""
+    return [(i, False, False, r.lhs, r.rhs) for i, r in enumerate(rules)] + \
+        [(j, True, rev, l, r) for j, eq in enumerate(eqs)
+         for rev, (l, r) in enumerate([(eq.lhs, eq.rhs), (eq.rhs, eq.lhs)])]
+
+
+def scan_at(t, pos, candidates, order=None):
+    sub = subterm_at(t, pos)
+    for index, is_eq, rev, l, r in candidates:
+        sigma = match(l, sub)
+        if sigma is None:
+            continue
+        reduct = apply_subst(sigma, r)
+        if is_eq and not order.gt(sub, reduct):
+            continue
+        return (pos, index, replace_at(t, pos, reduct), is_eq, bool(rev))
+    return None
+
+
+def scan(t, candidates, order=None):
+    """The first step over postorder positions × candidates."""
+    for pos in postorder_positions(t):
+        hit = scan_at(t, pos, candidates, order)
+        if hit is not None:
+            return hit
+    return None
+
+
+def as_tuple(report):
+    if report is None:
+        return None
+    return (report.position, report.index, report.result,
+            report.is_equation, report.oriented_from_rhs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rules=RULES, t=TERMS)
+def test_rewrite_step_is_the_first_step_of_a_scan(rules, t):
+    candidates = scan_candidates(rules)
+    assert as_tuple(rewrite_step(rules, t)) == scan(t, candidates)
+    for pos in positions(t):
+        assert as_tuple(step_at(rules, t, pos)) == \
+            scan_at(t, pos, candidates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rules=RULES, eqs=EQUATIONS, t=TERMS)
+def test_ordered_step_is_the_first_step_of_a_scan(rules, eqs, t):
+    assert as_tuple(ordered_step(eqs, rules, LPO, t)) == \
+        scan(t, scan_candidates(rules, eqs), LPO)
