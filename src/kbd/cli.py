@@ -27,7 +27,7 @@ from .ordered import (ground_joinable, run_kbl, run_kbo,
 from .parsing import (ParseError, ProblemFile, format_trace, parse_problem,
                       parse_term_string, parse_trace, term_word, word_term)
 from .rewriting import joinable, normalize
-from .terms import Rule, is_ground
+from .terms import Rule, Signature, is_ground
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -52,7 +52,10 @@ class CliError(Exception):
 
 
 def parse_precedence(text: Optional[str]) -> Precedence:
-    """Precedence flags look like "f>g>h,a>b": comma-separated chains."""
+    """Precedence flags look like "f>g>h,a>b": comma-separated chains.
+
+    A cyclic precedence is a failed precondition, as other inadmissible
+    orders are."""
     pairs = []
     for chain in (text or "").split(","):
         chain = chain.strip()
@@ -62,7 +65,10 @@ def parse_precedence(text: Optional[str]) -> Precedence:
         if len(names) < 2 or not all(names):
             raise CliError("bad precedence chain %r" % chain)
         pairs.extend(zip(names, names[1:]))
-    return Precedence(pairs)
+    try:
+        return Precedence(pairs)
+    except InadmissibleOrder as e:
+        raise CliError(str(e), EXIT_MAYBE)
 
 
 def parse_weights(text: Optional[str]) -> dict[str, int]:
@@ -118,6 +124,8 @@ def load_problem(args) -> ProblemFile:
 
 def fuel_of(args) -> int:
     if args.fuel is not None:
+        if args.fuel < 0:
+            raise CliError("--fuel must not be negative, got %d" % args.fuel)
         return args.fuel
     env = os.environ.get("KBD_FUEL")
     if env is not None:
@@ -253,9 +261,8 @@ def cmd_decide(args) -> int:
 
 def search_lpo(rules) -> Optional[Precedence]:
     """A total LPO precedence orienting every rule, if any exists."""
-    symbols = sorted({s for r in rules
-                      for t in (r.lhs, r.rhs)
-                      for s in _symbols_of(t)})
+    symbols = Signature.of_terms([t for r in rules
+                                  for t in (r.lhs, r.rhs)]).symbols()
     if len(symbols) > 8:
         return None
     for perm in itertools.permutations(symbols):
@@ -263,11 +270,6 @@ def search_lpo(rules) -> Optional[Precedence]:
         if all(lpo_gt(prec, r.lhs, r.rhs) for r in rules):
             return prec
     return None
-
-
-def _symbols_of(t):
-    from .terms import Fun, subterms
-    return [u.symbol for u in subterms(t) if isinstance(u, Fun)]
 
 
 def cmd_check_confluence(args) -> int:

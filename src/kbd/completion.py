@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from .critical_pairs import oriented_views, overlap_at, pair_overlaps
+from .critical_pairs import overlap_at, pair_overlaps
 from .orders import OrderSpec
-from .rewriting import (_equation_views, _rule_views, conversion_oracle,
-                        innermost_redex, normalize)
+from .rewriting import (_contractions, _equation_views, _normal_form,
+                        _rule_views, conversion_oracle, innermost_redex)
 from .terms import (Equation, Fun, InvalidPosition, Position, Rule, RuleLike,
                     Term, Var, apply_subst, canonical_pair, equation_variants,
                     match, pair_variants, properly_encompasses, replace_at,
@@ -238,25 +238,23 @@ def _deduce_ok(state: RunState, eq: Equation, ordered: bool,
     """A deduce that names no peak must come from some peak of the
     current system.
 
-    Membership in the critical pairs of the current system is checked
-    first; otherwise a short conversion between the two sides is accepted
-    as evidence of a peak.
+    Membership in the critical pairs of the current system (of E± ∪ R
+    under the ordering conditions in the ordered calculi, of R otherwise)
+    is checked first; otherwise a short conversion between the two sides,
+    which also covers instances of equations, is accepted as evidence of a
+    peak.
     """
     keys = {canonical_pair(eq), canonical_pair(eq.reversed())}
-
-    def some_peak(views, order=None) -> bool:
-        return any(canonical_pair(o.pair()) in keys
-                   for outer in views for inner in views
-                   for o in pair_overlaps(outer, inner, order))
-
-    if some_peak(state.R):
+    E = state.E if ordered else []
+    views = [view for _, view in _rule_views(state.R) + _equation_views(E)]
+    if any(canonical_pair(o.pair()) in keys
+           for outer in views for inner in views
+           for o in pair_overlaps(outer, inner, order if ordered else None)):
         return True
-    pairs = list(state.R) + (list(state.E) if ordered else [])
+    pairs = state.R + E
     cap = max(size(eq.lhs), size(eq.rhs)) + \
         max([max(size(p.lhs), size(p.rhs)) for p in pairs] or [0]) + 2
-    if conversion_oracle(pairs, eq.lhs, eq.rhs, depth=2, size_cap=cap):
-        return True
-    return ordered and some_peak(oriented_views(state.E, state.R), order)
+    return conversion_oracle(pairs, eq.lhs, eq.rhs, depth=2, size_cap=cap)
 
 
 def apply_inference(state: RunState, inf: Inference, variant: str,
@@ -382,10 +380,10 @@ class _Driver:
         # current views by their ids
         self.view_ids: dict[RuleLike, int] = {}
         self.pair_peaks: dict[tuple[int, int], tuple] = {}
-        # canonical pairs of e_union's members, both ways round, and how
-        # much of the append-only e_union they cover
+        # the append-only e_union's members read both ways, and in the
+        # ordered calculi their canonical pairs, fed from its new tail
+        self.e_union_views: list = []
         self.recorded: set = set()
-        self.recorded_upto = 0
 
     def spent(self) -> bool:
         return self.fuel is not None and len(self.trace) >= self.fuel
@@ -448,17 +446,23 @@ class _Driver:
     def peak_views(self) -> list[tuple[tuple, RuleLike]]:
         """The participants of critical peaks, with their references; they
         also make up the rewrite relation (with the order applying to
-        equation views) under which a peak is prime."""
+        equation views) under which a peak is prime and :meth:`joins`
+        normalizes."""
         return _rule_views(self.state.R)
 
     def peak_overlaps(self, outer: RuleLike, inner: RuleLike):
         return pair_overlaps(outer, inner)
 
     def joins(self, s: Term, t: Term) -> bool:
-        """Do ``s`` and ``t`` reach the same normal form (which exists,
-        the rewrite relation being contained in a reduction order)?"""
-        l = normalize(self.state.R, s, 2000)
-        return l is not None and l == normalize(self.state.R, t, 2000)
+        """Do ``s`` and ``t`` reach the same normal form under the peak
+        views (which exists, the rewrite relation being contained in a
+        reduction order)?"""
+        views = self.peak_views()
+        l = _normal_form(s, views, self.order, 2000)
+        if l is None:
+            return False
+        r = _normal_form(t, views, self.order, 2000)
+        return r is not None and l[0] == r[0]
 
     def prime_peaks(self) -> list[tuple[Equation, Peak]]:
         """The prime critical pairs of the current system, each with the
@@ -494,13 +498,17 @@ class _Driver:
                         out.append((pair, Peak(oref, iref, pos)))
         return out
 
-    def recorded_variant(self, eq: Equation) -> bool:
-        """Is ``eq`` a variant of a member of ``e_union``, either way round?"""
-        for e in self.state.e_union[self.recorded_upto:]:
-            self.recorded.add(canonical_pair(e))
-            self.recorded.add(canonical_pair(e.reversed()))
-        self.recorded_upto = len(self.state.e_union)
-        return canonical_pair(eq) in self.recorded
+    def feed_e_union(self):
+        """Extend ``e_union_views`` and, in the ordered calculi,
+        ``recorded`` by the members added to ``e_union`` since the last
+        call.  The views' references index the tail they came from; only
+        the views are read."""
+        new = self.state.e_union[len(self.e_union_views) // 2:]
+        self.e_union_views += _equation_views(new)
+        if self.calculus.ordered:
+            for e in new:
+                self.recorded.add(canonical_pair(e))
+                self.recorded.add(canonical_pair(e.reversed()))
 
     def fairness_gap(self) -> list[tuple[Equation, Peak]]:
         """Prime critical pairs of the current system not yet accounted
@@ -514,12 +522,13 @@ class _Driver:
         """
         if not self.calculus.deduces:
             return []
+        self.feed_e_union()
         ordered = self.calculus.ordered
         return [(eq, peak) for eq, peak in self.prime_peaks()
                 if not (eq.is_trivial()
-                        or ordered and self.recorded_variant(eq)
+                        or ordered and canonical_pair(eq) in self.recorded
                         or self.joins(eq.lhs, eq.rhs)
-                        or single_step_connects(self.state.e_union,
+                        or single_step_connects(self.e_union_views,
                                                 eq.lhs, eq.rhs))]
 
     def run(self) -> RunResult:
@@ -583,16 +592,12 @@ def _step_sites(s: Term, t: Term) -> list[tuple[Term, Term]]:
     return out
 
 
-def single_step_connects(eqs: Sequence[Equation], s: Term, t: Term) -> bool:
-    """Is there a single equational step between ``s`` and ``t``?"""
-    sites = _step_sites(s, t)
-    for eq in eqs:
-        for l, r in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
-            for sub, target in sites:
-                sigma = match(l, sub)
-                if sigma is not None and apply_subst(sigma, r) == target:
-                    return True
-    return False
+def single_step_connects(views, s: Term, t: Term) -> bool:
+    """Is there a single step from ``s`` to ``t`` with one of the
+    candidate ``views`` (for an equational step, the equations' views both
+    ways, as ``_equation_views`` builds them)?"""
+    return any(reduct == target for sub, target in _step_sites(s, t)
+               for _, reduct in _contractions(sub, views))
 
 
 def run_kbf(eqs: Sequence[Equation], order: OrderSpec,

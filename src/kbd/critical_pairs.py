@@ -6,6 +6,11 @@ the contracted redex has no reducible proper subterms; for terminating
 systems joinability of the prime critical pairs already decides local
 confluence.  Extended critical pairs generalize both notions to ordered
 rewriting with a mix of rules and (possibly unorientable) equations.
+
+One enumeration, :func:`critical_peaks`, lists the peaks of E± ∪ R (the
+rules, and each equation read both ways); plain completion is the case
+E = ∅ with no order.  The prime, extended and linear critical pairs are
+filters over it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .orders import OrderSpec
-from .rewriting import Eqns, Rules, is_normal_form, ordered_step
+from .rewriting import (Eqns, Rules, _equation_views, _rule_views,
+                        ordered_step)
 from .terms import (Equation, Position, Rule, RuleLike, Term, Var,
                     apply_subst, canonical_terms, fun_positions,
                     pair_variants, proper_subterms, rename_apart, replace_at,
@@ -44,15 +50,14 @@ class Overlap:
 
 @dataclass(frozen=True)
 class CriticalPeak:
-    """The two reducts of a critical overlap, with its source term.
+    """The two reducts of a critical overlap.
 
     ``left`` is the result of contracting the inner redex at ``pos`` inside
-    ``source``; ``right`` contracts ``source`` at the root.
+    the overlapped term; ``right`` contracts that term at the root.
     """
 
     left: Term
     pos: Position
-    source: Term
     right: Term
     prime: bool
 
@@ -132,15 +137,26 @@ def overlaps(rules: Rules) -> list[Overlap]:
             for o in pair_overlaps(outer, inner)]
 
 
-def peak_of_overlap(o: Overlap, rules: Rules) -> CriticalPeak:
-    source = apply_subst(o.mgu, o.outer.lhs)
-    pair = o.pair()
-    prime = all(is_normal_form(rules, u) for u in proper_subterms(o.redex()))
-    return CriticalPeak(pair.lhs, o.pos, source, pair.rhs, prime)
+def critical_peaks(rules: Rules, eqs: Eqns = (),
+                   order: Optional[OrderSpec] = None,
+                   linear: bool = False) -> list[CriticalPeak]:
+    """The critical peaks of E± ∪ R, under the conditions of
+    :func:`pair_overlaps`.
 
-
-def critical_peaks(rules: Rules) -> list[CriticalPeak]:
-    return [peak_of_overlap(o, rules) for o in overlaps(rules)]
+    A peak is prime when every proper subterm of its contracted redex is
+    a normal form of the rewrite relation R ∪ E-oriented (of R alone when
+    there are no equations).
+    """
+    views = [view for _, view in _rule_views(rules) + _equation_views(eqs)]
+    out = []
+    for outer in views:
+        for inner in views:
+            for o in pair_overlaps(outer, inner, order, linear):
+                pair = o.pair()
+                prime = all(ordered_step(eqs, rules, order, u) is None
+                            for u in proper_subterms(o.redex()))
+                out.append(CriticalPeak(pair.lhs, o.pos, pair.rhs, prime))
+    return out
 
 
 def dedup_pairs(eqs: Sequence[Equation]) -> list[Equation]:
@@ -160,65 +176,24 @@ def critical_pairs(rules: Rules) -> list[Equation]:
     return dedup_pairs([o.pair() for o in overlaps(rules)])
 
 
+def _prime_pairs(peaks: list[CriticalPeak]) -> list[Equation]:
+    return dedup_pairs([p.pair() for p in peaks if p.prime])
+
+
 def prime_critical_pairs(rules: Rules) -> list[Equation]:
     """PCP(R): critical pairs whose contracted redex has irreducible
     proper subterms."""
-    return dedup_pairs([p.pair() for p in critical_peaks(rules) if p.prime])
-
-
-@dataclass(frozen=True)
-class ExtendedOverlap:
-    """An overlap between oriented instances of two equations.
-
-    Each participant is an equation read left to right (rules count as
-    equations here); the conditions ri·mgu not > li·mgu keep only peaks
-    that ordered rewriting can actually produce.
-    """
-
-    inner: Equation
-    outer: Equation
-    pos: Position
-    mgu: dict
-    pair: Equation
-    prime: bool
-
-
-def oriented_views(eqs: Eqns, rules: Rules) -> list[Equation]:
-    """R read left to right, then each equation of E both ways (E± ∪ R)."""
-    views = [Equation(r.lhs, r.rhs) for r in rules]
-    for eq in eqs:
-        views.append(Equation(eq.lhs, eq.rhs))
-        views.append(Equation(eq.rhs, eq.lhs))
-    return views
-
-
-def extended_overlaps(eqs: Eqns, rules: Rules,
-                      order: OrderSpec) -> list[ExtendedOverlap]:
-    """Overlaps of E± ∪ R with itself, subject to the ordering conditions.
-
-    For an overlap of l1 ≈ r1 into l2 ≈ r2 at position p with mgu μ we
-    require r1μ not > l1μ and r2μ not > l2μ; root overlaps of an equation
-    with its own variant (same orientation) are excluded.  Primality asks
-    that all proper subterms of l1μ are normal forms of the ordered
-    rewrite relation of (E, R).
-    """
-    views = oriented_views(eqs, rules)
-    out = []
-    for outer in views:
-        for inner in views:
-            for o in pair_overlaps(outer, inner, order):
-                prime = all(ordered_step(eqs, rules, order, u) is None
-                            for u in proper_subterms(o.redex()))
-                out.append(ExtendedOverlap(o.inner, o.outer, o.pos, o.mgu,
-                                           o.pair(), prime))
-    return out
+    return _prime_pairs(critical_peaks(rules))
 
 
 def extended_critical_pairs(eqs: Eqns, rules: Rules,
                             order: OrderSpec) -> list[Equation]:
-    """PCP_>(E ∪ R): prime extended critical pairs, deduplicated."""
-    return dedup_pairs([o.pair for o in extended_overlaps(eqs, rules, order)
-                        if o.prime])
+    """PCP_>(E ∪ R): prime extended critical pairs, deduplicated.
+
+    For an overlap of l1 ≈ r1 into l2 ≈ r2 with mgu μ the ordering
+    conditions require r1μ not > l1μ and r2μ not > l2μ.
+    """
+    return _prime_pairs(critical_peaks(rules, eqs, order))
 
 
 def linear_critical_pairs(eqs: Eqns, rules: Rules,
@@ -229,6 +204,4 @@ def linear_critical_pairs(eqs: Eqns, rules: Rules,
     l1 > r1 and r2 not > l2, or l2 > r2 and r1 not > l1 (on the equations
     themselves, before instantiation).
     """
-    return dedup_pairs([
-        o.pair for o in extended_overlaps(eqs, rules, order)
-        if o.prime and _linear_condition(o.inner, o.outer, order)])
+    return _prime_pairs(critical_peaks(rules, eqs, order, linear=True))

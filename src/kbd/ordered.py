@@ -19,10 +19,10 @@ from typing import Optional, Sequence
 from .completion import RunResult, _Driver, is_linear
 from .critical_pairs import dedup_pairs, pair_overlaps
 from .orders import OrderSpec
-from .rewriting import (_equation_views, _rule_views, normalize,
-                        ordered_normalize)
-from .terms import (Equation, Rule, RuleLike, Term, Var, apply_subst,
-                    canonical_terms, literally_similar, match, pair_variants,
+from .rewriting import (_contractions, _equation_views, _rule_views, _steps,
+                        normalize, ordered_normalize)
+from .terms import (Equation, Fun, Rule, RuleLike, Term, Var,
+                    canonical_terms, literally_similar, pair_variants,
                     positions, properly_encompasses, replace_at, subterm_at,
                     variables)
 
@@ -37,11 +37,6 @@ class _OrderedDriver(_Driver):
     def peak_overlaps(self, outer: RuleLike, inner: RuleLike):
         return pair_overlaps(outer, inner, self.order,
                              linear=self.calculus.linear)
-
-    def joins(self, s: Term, t: Term) -> bool:
-        l = ordered_normalize(self.state.E, self.state.R, self.order, s, 2000)
-        return l is not None and l == ordered_normalize(
-            self.state.E, self.state.R, self.order, t, 2000)
 
 
 def run_kbo(eqs: Sequence[Equation], order: OrderSpec,
@@ -135,35 +130,21 @@ def encompass_reducible(eqs: Sequence[Equation], rules: Sequence[Rule],
 
     Rules fire when ``t`` properly encompasses their left-hand side.  For
     equations any decreasing instance counts, provided ``t`` properly
-    encompasses that instance; at the root this means searching for a
-    strict generalization of ``t`` that is a decreasing instance of the
-    equation.
+    encompasses that instance.  Strictly inside ``t`` this is any ordered
+    step; at the root it means a strict generalization of ``t`` that is a
+    decreasing instance of an equation.  A view that matches such a
+    generalization also matches ``t``, so the generalizations are only
+    searched when some view matches ``t``.
     """
-    for rule in rules:
-        if properly_encompasses(t, rule.lhs):
-            return True
-    oriented = [(view.lhs, view.rhs) for _, view in _equation_views(eqs)]
-    gens = None
-    for pos in positions(t):
-        sub = subterm_at(t, pos)
-        for (l, r) in oriented:
-            sigma = match(l, sub)
-            if sigma is None:
-                continue
-            if pos != ():
-                # the instance sits strictly inside t, so proper
-                # encompassment is automatic; use the most specific one
-                if order.gt(sub, apply_subst(sigma, r)):
-                    return True
-            else:
-                if gens is None:
-                    gens = strict_generalizations(t)
-                for w in gens:
-                    tau = match(l, w)
-                    if tau is not None and \
-                            order.gt(w, apply_subst(tau, r)):
-                        return True
-    return False
+    if any(properly_encompasses(t, rule.lhs) for rule in rules):
+        return True
+    views = _equation_views(eqs)
+    if isinstance(t, Fun) and any(next(_steps(a, views, order), None)
+                                  for a in t.args):
+        return True
+    return next(_contractions(t, views), None) is not None and \
+        any(next(_contractions(w, views, order), None)
+            for w in strict_generalizations(t))
 
 
 def simplify_ground_complete(eqs: Sequence[Equation],

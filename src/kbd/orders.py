@@ -226,35 +226,22 @@ class OrderSpec:
         return None
 
 
-def rewrite_distance(base, t: Term, limit: int = 10000) -> int:
-    """Number of rewrite steps from ``t`` to its base-normal form.
-
-    Well defined for reduced ground systems, where all maximal rewrite
-    sequences from a term have the same length.
-    """
-    from .rewriting import rewrite_step
-
-    steps = 0
-    while steps <= limit:
-        report = rewrite_step(base, t)
-        if report is None:
-            return steps
-        t = report.result
-        steps += 1
-    raise InadmissibleOrder("base TRS for ground order does not terminate")
-
-
 def ground_derived_gt(base, prec: Precedence, s: Term, t: Term) -> bool:
-    """Ground order derived from a reduced ground TRS (see OrderSpec)."""
-    from .rewriting import normalize
+    """Ground order derived from a reduced ground TRS (see OrderSpec).
+
+    Each side is walked once to its base-normal form, counting the steps;
+    in a reduced ground system every maximal rewrite sequence from a term
+    has the same length.
+    """
+    from .rewriting import _normal_form, _rule_views
 
     if s == t:
         return False
-    sn = normalize(base, s, 10000)
-    tn = normalize(base, t, 10000)
-    if sn is None or tn is None or sn != tn:
-        return False  # not convertible: incomparable
-    ds, dt = rewrite_distance(base, s), rewrite_distance(base, t)
-    if ds != dt:
-        return ds > dt
+    views = _rule_views(base)
+    sn = _normal_form(s, views, None, 10000)
+    tn = _normal_form(t, views, None, 10000)
+    if sn is None or tn is None or sn[0] != tn[0]:
+        return False  # not convertible (or not normalizing): incomparable
+    if sn[1] != tn[1]:
+        return sn[1] > tn[1]
     return kbo_gt(prec, KboWeights(w0=1, weights={}), s, t)

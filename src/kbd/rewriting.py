@@ -1,11 +1,14 @@
 """Rewriting with rule sets and with ordered instances of equations.
 
-The single-step strategy everywhere is leftmost-innermost: arguments are
-searched left to right before the root, so repeated stepping computes a
-unique innermost normal form.  One search, :func:`innermost_redex`, finds
-that step for rules, for decreasing equation instances and for the
-completion engines.  Exhaustive one-step successors (all redexes,
-all rules) are also provided for confluence checks and oracles.
+Every step is found by one primitive, :func:`_contractions`, which lists
+the ``(ref, reduct)`` of each candidate rule or oriented equation that
+applies at the root of a term.  :func:`_steps` runs it at every position
+in preorder (all one-step successors, for confluence checks and oracles),
+and :func:`innermost_redex` takes its first hit at each position in
+leftmost-innermost order: arguments left to right before the root, so
+repeated stepping computes a unique innermost normal form.  Rules,
+decreasing equation instances and the completion engines all step
+through these.
 
 Searches take a ``fuel`` budget counted in rewrite steps.  Running out of
 fuel yields ``None`` (a "maybe" answer), never an exception.
@@ -51,9 +54,15 @@ def _equation_views(eqs: Eqns, skip: Optional[int] = None) -> list:
             for j, eq in enumerate(eqs) if j != skip for rev in (False, True)]
 
 
-def _contract(t: Term, candidates, order, whole):
-    """The first candidate applicable at the root of ``t``, as
-    ``(ref, reduct)``, or None."""
+def _contractions(t: Term, candidates, order: Optional[OrderSpec] = None,
+                  whole: Optional[Term] = None):
+    """Every candidate applicable at the root of ``t``, in order, as
+    ``(ref, reduct)``.
+
+    With ``order``, an equation view applies only where its instance is
+    decreasing; with ``whole``, a view applies only when ``whole`` properly
+    encompasses its left-hand side.
+    """
     for ref, view in candidates:
         sigma = match(view.lhs, t)
         if sigma is None:
@@ -64,8 +73,16 @@ def _contract(t: Term, candidates, order, whole):
             continue
         if whole is not None and not properly_encompasses(whole, view.lhs):
             continue
-        return ref, reduct
-    return None
+        yield ref, reduct
+
+
+def _steps(t: Term, candidates, order: Optional[OrderSpec] = None):
+    """Every step on ``t`` as ``(pos, ref, result)``: positions in
+    preorder, candidates in order at each."""
+    for pos in positions(t):
+        for ref, reduct in _contractions(subterm_at(t, pos), candidates,
+                                         order):
+            yield pos, ref, replace_at(t, pos, reduct)
 
 
 def _redex(t: Term, candidates, order, whole):
@@ -76,7 +93,7 @@ def _redex(t: Term, candidates, order, whole):
         if hit is not None:
             pos, ref, result = hit
             return (i,) + pos, ref, replace_at(t, (i,), result)
-    hit = _contract(t, candidates, order, whole)
+    hit = next(_contractions(t, candidates, order, whole), None)
     return None if hit is None else ((), hit[0], hit[1])
 
 
@@ -87,10 +104,10 @@ def innermost_redex(t: Term, candidates, order: Optional[OrderSpec] = None,
     ``candidates`` are ``(ref, view)`` pairs, tried in order at each
     position: ``ref`` is ``(('rule', k), False)`` for a rule, or
     ``(('eq', j), rev)`` for an equation read right-to-left when ``rev``,
-    and ``view`` is that rule or oriented equation.  With ``order``, an
-    equation view applies only where its instance is decreasing; with
-    ``encompass``, a view applies only when ``t`` properly encompasses its
-    left-hand side.  ``result`` is ``t`` after the step.
+    and ``view`` is that rule or oriented equation.  ``order`` is as for
+    :func:`_contractions`; with ``encompass``, a view applies only when
+    ``t`` properly encompasses its left-hand side.  ``result`` is ``t``
+    after the step.
     """
     return _redex(t, candidates, order, t if encompass else None)
 
@@ -104,7 +121,7 @@ def _report(hit) -> Optional[StepReport]:
 
 def step_at(rules: Rules, t: Term, pos: Position) -> Optional[StepReport]:
     """First rule (in order) applicable to ``t`` at ``pos``."""
-    hit = _contract(subterm_at(t, pos), _rule_views(rules), None, None)
+    hit = next(_contractions(subterm_at(t, pos), _rule_views(rules)), None)
     return None if hit is None else \
         StepReport(pos, hit[0][0][1], replace_at(t, pos, hit[1]))
 
@@ -118,27 +135,27 @@ def is_normal_form(rules: Rules, t: Term) -> bool:
     return rewrite_step(rules, t) is None
 
 
+def _normal_form(t: Term, candidates, order: Optional[OrderSpec],
+                 fuel: int) -> Optional[tuple[Term, int]]:
+    """The innermost normal form of ``t`` and the number of steps to it,
+    or None when it takes more than ``fuel`` steps."""
+    for steps in range(fuel + 1):
+        hit = innermost_redex(t, candidates, order)
+        if hit is None:
+            return t, steps
+        t = hit[2]
+    return None
+
+
 def normalize(rules: Rules, t: Term, fuel: int = 1000) -> Optional[Term]:
     """Innermost normal form of ``t``, or None when fuel runs out."""
-    for _ in range(fuel + 1):
-        report = rewrite_step(rules, t)
-        if report is None:
-            return t
-        t = report.result
-    return None
+    nf = _normal_form(t, _rule_views(rules), None, fuel)
+    return None if nf is None else nf[0]
 
 
 def all_steps(rules: Rules, t: Term) -> list[StepReport]:
     """Every one-step successor of ``t``: all positions, all rules."""
-    out = []
-    for pos in positions(t):
-        sub = subterm_at(t, pos)
-        for i, rule in enumerate(rules):
-            sigma = match(rule.lhs, sub)
-            if sigma is not None:
-                out.append(StepReport(pos, i,
-                                      replace_at(t, pos, apply_subst(sigma, rule.rhs))))
-    return out
+    return [_report(hit) for hit in _steps(t, _rule_views(rules))]
 
 
 def joinable(rules: Rules, s: Term, t: Term, fuel: int = 1000) -> Optional[bool]:
@@ -175,21 +192,21 @@ def joinable(rules: Rules, s: Term, t: Term, fuel: int = 1000) -> Optional[bool]
     return False
 
 
-def ordered_step(eqs: Eqns, rules: Rules, order: OrderSpec,
+def ordered_step(eqs: Eqns, rules: Rules, order: Optional[OrderSpec],
                  t: Term) -> Optional[StepReport]:
-    """Leftmost-innermost step of the rewrite relation R ∪ E-oriented."""
+    """Leftmost-innermost step of the rewrite relation R ∪ E-oriented;
+    with no equations this is :func:`rewrite_step`."""
     return _report(innermost_redex(
         t, _rule_views(rules) + _equation_views(eqs), order))
 
 
 def ordered_normalize(eqs: Eqns, rules: Rules, order: OrderSpec, t: Term,
                       fuel: int = 1000) -> Optional[Term]:
-    for _ in range(fuel + 1):
-        report = ordered_step(eqs, rules, order, t)
-        if report is None:
-            return t
-        t = report.result
-    return None
+    """Innermost normal form under R ∪ E-oriented, or None when fuel runs
+    out."""
+    nf = _normal_form(t, _rule_views(rules) + _equation_views(eqs), order,
+                      fuel)
+    return None if nf is None else nf[0]
 
 
 def conversion_oracle(pairs: Sequence, s: Term, t: Term, depth: int = 4,
@@ -202,10 +219,7 @@ def conversion_oracle(pairs: Sequence, s: Term, t: Term, depth: int = 4,
     long detours.
     """
     cap = size_cap if size_cap is not None else max(size(s), size(t)) + depth
-    eqs = []
-    for p in pairs:
-        eqs.append((p.lhs, p.rhs))
-        eqs.append((p.rhs, p.lhs))
+    views = _equation_views([Equation(p.lhs, p.rhs) for p in pairs])
     seen = {s}
     frontier = [s]
     for _ in range(depth):
@@ -213,16 +227,10 @@ def conversion_oracle(pairs: Sequence, s: Term, t: Term, depth: int = 4,
             return True
         new: list[Term] = []
         for u in frontier:
-            for pos in positions(u):
-                sub = subterm_at(u, pos)
-                for (l, r) in eqs:
-                    sigma = match(l, sub)
-                    if sigma is None:
-                        continue
-                    v = replace_at(u, pos, apply_subst(sigma, r))
-                    if size(v) <= cap and v not in seen:
-                        seen.add(v)
-                        new.append(v)
+            for _, _, v in _steps(u, views):
+                if size(v) <= cap and v not in seen:
+                    seen.add(v)
+                    new.append(v)
         frontier = new
         if not frontier:
             break

@@ -274,6 +274,12 @@ class TestErrorsAndEnvironment:
                            "--prec", "a>")
         assert code == 3
 
+    def test_cyclic_precedence_is_a_failed_precondition(self, capsys):
+        code, _, err = run(capsys, "complete", fixture("groups.es"),
+                           "--prec", "i>*>i")
+        assert code == 2
+        assert err.startswith("PRECONDITION-FAILED (cyclic precedence")
+
     def test_no_subcommand_is_usage(self, capsys):
         assert entry([]) == 3
         capsys.readouterr()
@@ -321,6 +327,17 @@ class TestErrorsAndEnvironment:
         run(capsys, "reduce-ordered", fixture("interreduce1.trs"),
             "--prec", "+>s", "--fuel", "0")
         assert seen == [0, 0]
+
+    @pytest.mark.parametrize("argv", [
+        ("complete", fixture("strategy.es"), "--prec", "a>b>d,a>c>d",
+         "--fuel", "-3"),
+        ("reduce", fixture("metivier.trs"), "--fuel", "-1"),
+    ], ids=["complete", "reduce"])
+    def test_negative_fuel_is_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "--fuel must not be negative" in err
 
     def test_bad_fuel_env(self, capsys, monkeypatch):
         monkeypatch.setenv("KBD_FUEL", "lots")

@@ -1,12 +1,19 @@
 """Critical pairs: plain, prime, extended, and linear."""
 
+import glob
+import os
+
+from kbd.cli import search_lpo
 from kbd.critical_pairs import (critical_pairs, critical_peaks,
                                 extended_critical_pairs,
-                                extended_overlaps, linear_critical_pairs,
-                                overlaps, prime_critical_pairs)
+                                linear_critical_pairs, overlaps,
+                                prime_critical_pairs)
 from kbd.orders import OrderSpec, Precedence
-from kbd.terms import (Equation, Fun, Rule, Var, equation_variants,
-                       pair_variants)
+from kbd.parsing import parse_problem
+from kbd.terms import (Equation, Fun, Rule, Var, canonical_pair,
+                       equation_variants, pair_variants)
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 x, y = Var("x"), Var("y")
 a, b, c = Fun("a"), Fun("b"), Fun("c")
@@ -31,6 +38,10 @@ def word(w, tail=x):
 
 def has_variant(eqs, eq):
     return any(equation_variants(e, eq) for e in eqs)
+
+
+def variant_set(eqs):
+    return {canonical_pair(e) for e in eqs}
 
 
 class TestOverlaps:
@@ -126,6 +137,20 @@ class TestExtendedCriticalPairs:
         plain = prime_critical_pairs(PCPEX)
         for eq in plain:
             assert has_variant(xcps, eq)
+        # with no equations and rules the order orients, every overlap
+        # meets the ordering conditions: the two enumerations agree
+        checked = 0
+        for path in sorted(glob.glob(os.path.join(FIXTURES, "*.trs"))):
+            with open(path) as fh:
+                rules = parse_problem(fh.read()).rules
+            prec = search_lpo(rules)
+            if not rules or prec is None:
+                continue
+            order = OrderSpec("lpo", prec)
+            assert variant_set(extended_critical_pairs([], rules, order)) == \
+                variant_set(prime_critical_pairs(rules)), path
+            checked += 1
+        assert checked >= 5
 
     def test_unorientable_outer_condition(self):
         # overlap into the smaller side of an oriented equation is dropped

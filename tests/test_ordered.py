@@ -1,6 +1,7 @@
 """Ordered and linear completion, ground joinability, interreduction."""
 
 import pytest
+from hypothesis import given, settings
 
 from kbd.completion import Inference, replay
 from kbd.orders import KboWeights, OrderSpec, Precedence
@@ -8,9 +9,13 @@ from kbd.ordered import (encompass_reducible, ground_joinable, run_kbl,
                          run_kbo, simplify_ground_complete,
                          strict_generalizations)
 from kbd.rewriting import ordered_normalize
-from kbd.terms import (Equation, Fun, Rule, Var, equation_variants,
-                       literally_similar, pair_variants)
+from kbd.terms import (Equation, Fun, Rule, Var, apply_subst,
+                       equation_variants, literally_similar, match,
+                       pair_variants, positions, properly_encompasses,
+                       subterm_at)
 from kbd.canonicity import trs_variants
+
+from test_rewriting import EQUATIONS, LPO, RULES, TERMS
 
 x, y, z = Var("x"), Var("y"), Var("z")
 a, b = Fun("a"), Fun("b")
@@ -277,3 +282,26 @@ class TestSimplifyGroundComplete:
             before = ordered_normalize(eqs, rules, order, t, 100)
             after = ordered_normalize(new_eqs, new_rules, order, t, 100)
             assert before == after
+
+
+def encompass_reducible_by_definition(eqs, rules, order, t):
+    """A rule whose left-hand side ``t`` properly encompasses, a decreasing
+    equation instance strictly inside ``t``, or a strict generalization of
+    ``t`` that is a decreasing equation instance."""
+    sides = [(e.lhs, e.rhs) for e in eqs] + [(e.rhs, e.lhs) for e in eqs]
+
+    def decreasing_instance(u):
+        return any(tau is not None and order.gt(u, apply_subst(tau, r))
+                   for l, r in sides for tau in [match(l, u)])
+
+    return any(properly_encompasses(t, rule.lhs) for rule in rules) or \
+        any(decreasing_instance(subterm_at(t, pos))
+            for pos in positions(t) if pos != ()) or \
+        any(decreasing_instance(w) for w in strict_generalizations(t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rules=RULES, eqs=EQUATIONS, t=TERMS)
+def test_encompass_reducible_is_its_definition(rules, eqs, t):
+    assert encompass_reducible(eqs, rules, LPO, t) == \
+        encompass_reducible_by_definition(eqs, rules, LPO, t)

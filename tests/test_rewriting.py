@@ -8,8 +8,8 @@ from kbd.rewriting import (all_steps, conversion_oracle, is_normal_form,
                            joinable, normalize, ordered_normalize,
                            ordered_step, rewrite_step, step_at)
 from kbd.terms import (Equation, Fun, Rule, Var, apply_subst, match,
-                       positions, postorder_positions, replace_at, subterm_at,
-                       variables)
+                       positions, postorder_positions, replace_at, size,
+                       subterm_at, variables)
 
 from helpers import GROUND_SIG, random_ground_term
 
@@ -238,3 +238,46 @@ def test_rewrite_step_is_the_first_step_of_a_scan(rules, t):
 def test_ordered_step_is_the_first_step_of_a_scan(rules, eqs, t):
     assert as_tuple(ordered_step(eqs, rules, LPO, t)) == \
         scan(t, scan_candidates(rules, eqs), LPO)
+
+
+def full_scan(t, sides):
+    """Every ``(pos, index, result)`` over preorder positions × the
+    ``(lhs, rhs)`` sides."""
+    return [(pos, i, replace_at(t, pos, apply_subst(sigma, r)))
+            for pos in positions(t)
+            for i, (l, r) in enumerate(sides)
+            for sigma in [match(l, subterm_at(t, pos))] if sigma is not None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rules=RULES, t=TERMS)
+def test_all_steps_is_a_full_scan(rules, t):
+    reports = all_steps(rules, t)
+    assert not any(rep.is_equation or rep.oriented_from_rhs
+                   for rep in reports)
+    assert [(rep.position, rep.index, rep.result) for rep in reports] == \
+        full_scan(t, [(rule.lhs, rule.rhs) for rule in rules])
+
+
+def scan_conversion(pairs, s, depth, cap):
+    """The terms within ``depth`` steps of ``s`` by the pairs used both
+    ways, through terms of size at most ``cap`` (``s`` itself exempt)."""
+    sides = [(p.lhs, p.rhs) for p in pairs] + [(p.rhs, p.lhs) for p in pairs]
+    seen = level = {s}
+    for _ in range(depth):
+        level = {v for u in level for _, _, v in full_scan(u, sides)
+                 if size(v) <= cap} - seen
+        seen = seen | level
+    return seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(rules=RULES, eqs=EQUATIONS, s=TERMS, depth=st.integers(0, 2),
+       data=st.data())
+def test_conversion_oracle_is_a_full_scan(rules, eqs, s, depth, data):
+    pairs = rules + eqs
+    near = sorted(scan_conversion(pairs, s, depth, size(s) + depth), key=str)
+    t = data.draw(st.one_of(TERMS, st.sampled_from(near)))
+    cap = max(size(s), size(t)) + depth
+    assert conversion_oracle(pairs, s, t, depth) == \
+        (t in scan_conversion(pairs, s, depth, cap))
