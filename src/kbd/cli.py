@@ -4,7 +4,8 @@ Subcommands cover the five completion engines, critical-pair listings,
 interreduction, word-problem decisions, a local-confluence check, and
 trace replay.  Exit status: 0 for SUCCESS/VALID/CONFLUENT, 1 for
 FAIL/INVALID/NOT-CONFLUENT, 2 for MAYBE or unmet preconditions, 3 for
-usage and parse errors.
+usage and parse errors and for output cut off by a closed pipe (as in
+``kbd ... | head -1``).
 """
 
 from __future__ import annotations
@@ -399,6 +400,11 @@ def entry(argv: Optional[list[str]] = None) -> int:
         tag = "PRECONDITION-FAILED" if e.code == EXIT_MAYBE else "ERROR"
         print("%s (%s)" % (tag, e), file=sys.stderr)
         return e.code
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so that the flush
+        # at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 def main():  # pragma: no cover

@@ -359,10 +359,6 @@ class RunResult:
         return list(self.state.R)
 
 
-def _priority(eq: Equation):
-    return (size(eq.lhs) + size(eq.rhs), str(eq))
-
-
 class _Driver:
     """The engine loop of every calculus; :mod:`kbd.ordered` subclasses it
     for the ordered rewrite relation of kbo and kbl."""
@@ -376,6 +372,8 @@ class _Driver:
         self.fuel = fuel
         self.trace: list[Inference] = []
         self.parked: set[Equation] = set()
+        # the pick key of each equation in E (see priority)
+        self.priorities: dict[Equation, tuple[int, str]] = {}
         # an id for every peak view seen, and the overlaps of each pair of
         # current views by their ids
         self.view_ids: dict[RuleLike, int] = {}
@@ -391,6 +389,19 @@ class _Driver:
     def emit(self, inf: Inference):
         apply_inference(self.state, inf, self.variant, self.order)
         self.trace.append(inf)
+        if inf.kind in ("orient", "delete", "simplify"):
+            # the equation has left E
+            self.priorities.pop(inf.equation, None)
+
+    def priority(self, eq: Equation) -> tuple[int, str]:
+        """The order in which equations are picked: smallest size sum
+        first, then by the printed equation.  Computed once while ``eq``
+        is in E."""
+        key = self.priorities.get(eq)
+        if key is None:
+            key = self.priorities[eq] = (size(eq.lhs) + size(eq.rhs),
+                                         str(eq))
+        return key
 
     def step(self, term: Term, rules: list, encompass: bool,
              eq_encompass: bool, skip_eq: Optional[Equation] = None):
@@ -549,7 +560,7 @@ class _Driver:
                     return RunResult("fail", self.state, self.trace,
                                      stuck=list(self.state.E))
                 return RunResult("success", self.state, self.trace)
-            eq = min(live, key=_priority)
+            eq = min(live, key=self.priority)
             eq = self.simplify_to_normal_form(eq)
             if self.spent():
                 continue

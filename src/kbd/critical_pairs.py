@@ -69,10 +69,8 @@ def _overlap(outer: RuleLike, inner: RuleLike, pos: Position,
              order: Optional[OrderSpec]) -> Optional[Overlap]:
     """The overlap of ``inner``, already renamed apart from ``outer``, at
     the function position ``pos`` of ``outer.lhs``, or None."""
-    if pos == () and pair_variants(inner, outer):
-        return None
     mgu = unify(inner.lhs, subterm_at(outer.lhs, pos))
-    if mgu is None:
+    if mgu is None or pos == () and pair_variants(inner, outer):
         return None
     if order is not None and (
             order.gt(apply_subst(mgu, inner.rhs), apply_subst(mgu, inner.lhs))

@@ -4,6 +4,10 @@ ground order derived from a reduced ground rewrite system.
 All comparisons go through :class:`OrderSpec`, whose ``gt(s, t)`` method
 dispatches on the order kind.  The lexicographic and multiset extensions of
 an arbitrary strict order live here as well.
+
+The LPO follows B. Löchner, "Things to know when implementing LPO"
+(IJAIT 15(1), 2006): each case compares only what the subterm property
+and transitivity leave open, so it needs no memo table.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .terms import Fun, Term, Var, var_count, variables
+from .terms import Fun, Term, Var, occurs, same, var_count, variables
 
 
 class InadmissibleOrder(ValueError):
@@ -88,36 +92,45 @@ def mul_ext(gt: GtFn, xs: Sequence, ys: Sequence) -> bool:
 
 
 def lpo_gt(prec: Precedence, s: Term, t: Term) -> bool:
-    """Lexicographic path order induced by a (possibly partial) precedence."""
-    # subterm pairs recur many times, so comparisons are memoized
-    cache: dict[tuple[Term, Term], bool] = {}
+    """Lexicographic path order induced by a (possibly partial) precedence.
 
-    def gt(s: Term, t: Term) -> bool:
-        key = (s, t)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        verdict = compute(s, t)
-        cache[key] = verdict
-        return verdict
-
-    def compute(s: Term, t: Term) -> bool:
-        if isinstance(s, Var):
-            return False
-        if isinstance(t, Var):
-            return t.name in variables(s)
-        # s = f(s1..sn), t = g(t1..tm)
-        if any(si == t or gt(si, t) for si in s.args):
-            return True
-        if not all(gt(s, tj) for tj in t.args):
-            return False
-        if prec.gt(s.symbol, t.symbol):
-            return True
-        if s.symbol == t.symbol:
-            return lex_ext(gt, s.args, t.args)
+    Löchner's formulation: with equal root symbols and ``i`` the first
+    argument where ``s`` and ``t`` differ, ``s > t`` is decided by
+    ``s > t_j`` for the ``j > i`` when ``s_i > t_i``, and otherwise by
+    ``s_j >= t`` for some ``j > i``; with ``f > g`` every ``s > t_j`` must
+    hold, and otherwise some ``s_j >= t``.  The cases left out are implied
+    by the subterm property and transitivity, so no comparison is
+    repeated and nothing is memoized.
+    """
+    if isinstance(t, Var):
+        return isinstance(s, Fun) and occurs(t.name, s)
+    if isinstance(s, Var):
         return False
+    if s.symbol == t.symbol:
+        for i, (si, ti) in enumerate(zip(s.args, t.args)):
+            if not same(si, ti):
+                break
+        else:
+            return False
+        if lpo_gt(prec, si, ti):
+            return _lpo_dominates(prec, s, t.args[i + 1:])
+        rest = s.args[i + 1:]
+    elif prec.gt(s.symbol, t.symbol):
+        return _lpo_dominates(prec, s, t.args)
+    else:
+        rest = s.args
+    for sj in rest:
+        if same(sj, t) or lpo_gt(prec, sj, t):
+            return True
+    return False
 
-    return gt(s, t)
+
+def _lpo_dominates(prec: Precedence, s: Term, ts) -> bool:
+    """``s > t_j`` for every ``t_j`` in ``ts``."""
+    for tj in ts:
+        if not lpo_gt(prec, s, tj):
+            return False
+    return True
 
 
 @dataclass
@@ -142,6 +155,9 @@ def kbo_admissible(prec: Precedence, w: KboWeights,
     """None if the KBO parameters are admissible, else a reason string."""
     if w.w0 <= 0:
         return "w0 must be positive"
+    for f, wf in w.weights.items():
+        if wf < 0:
+            return "symbol %s has negative weight %d" % (f, wf)
     for f, n in arities.items():
         wf = w.of_symbol(f, n)
         if n == 0 and wf < w.w0:

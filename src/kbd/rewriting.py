@@ -8,7 +8,10 @@ and :func:`innermost_redex` takes its first hit at each position in
 leftmost-innermost order: arguments left to right before the root, so
 repeated stepping computes a unique innermost normal form.  Rules,
 decreasing equation instances and the completion engines all step
-through these.
+through these.  :func:`_normal_form` takes the same steps bottom-up:
+it normalizes the arguments of a node left to right, then tries the
+root, and after a root step normalizes the reduct, so that no part of
+the term already found normal is searched again.
 
 Searches take a ``fuel`` budget counted in rewrite steps.  Running out of
 fuel yields ``None`` (a "maybe" answer), never an exception.
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .orders import OrderSpec
-from .terms import (Equation, Position, Rule, Term, Var, apply_subst,
+from .terms import (Equation, Fun, Position, Rule, Term, Var, apply_subst,
                     match, positions, properly_encompasses, replace_at, size,
                     subterm_at)
 
@@ -63,7 +66,10 @@ def _contractions(t: Term, candidates, order: Optional[OrderSpec] = None,
     decreasing; with ``whole``, a view applies only when ``whole`` properly
     encompasses its left-hand side.
     """
+    symbol = t.symbol if isinstance(t, Fun) else None
     for ref, view in candidates:
+        if isinstance(view.lhs, Fun) and view.lhs.symbol != symbol:
+            continue
         sigma = match(view.lhs, t)
         if sigma is None:
             continue
@@ -138,13 +144,45 @@ def is_normal_form(rules: Rules, t: Term) -> bool:
 def _normal_form(t: Term, candidates, order: Optional[OrderSpec],
                  fuel: int) -> Optional[tuple[Term, int]]:
     """The innermost normal form of ``t`` and the number of steps to it,
-    or None when it takes more than ``fuel`` steps."""
-    for steps in range(fuel + 1):
-        hit = innermost_redex(t, candidates, order)
-        if hit is None:
-            return t, steps
-        t = hit[2]
-    return None
+    or None when it takes more than ``fuel`` steps.
+
+    The term is normalized bottom-up: the arguments of a node left to
+    right, then its root, and after a root step the reduct.  When a node
+    is reached, every part of the term left of it or below it is normal,
+    so each step is the one :func:`innermost_redex` would take.  A node
+    known to be normal is not searched again: ``normal`` holds them by
+    identity (and keeps them alive, so that an identity is not reused).
+    """
+    steps = 0
+    normal: dict[int, Term] = {}
+    done: list[Term] = []
+    # a term to normalize, or a (term) node whose arguments are on ``done``
+    todo: list = [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, tuple):
+            u = u[0]
+            if u.args:
+                n = len(u.args)
+                args = tuple(done[-n:])
+                del done[-n:]
+                if any(a is not b for a, b in zip(args, u.args)):
+                    u = Fun(u.symbol, args)
+            hit = next(_contractions(u, candidates, order), None)
+            if hit is not None:
+                if steps == fuel:
+                    return None
+                steps += 1
+                todo.append(hit[1])
+                continue
+            normal[id(u)] = u
+            done.append(u)
+        elif isinstance(u, Var) or id(u) in normal:
+            done.append(u)
+        else:
+            todo.append((u,))
+            todo.extend(reversed(u.args))
+    return done[0], steps
 
 
 def normalize(rules: Rules, t: Term, fuel: int = 1000) -> Optional[Term]:

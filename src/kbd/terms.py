@@ -178,41 +178,100 @@ def match(pattern: Term, subject: Term,
     return out
 
 
+def same(s: Term, t: Term) -> bool:
+    """``s == t`` without recursion, for terms of any depth."""
+    pending: list[tuple[Term, Term]] = []
+    while True:
+        if s is not t:
+            if isinstance(s, Var) or isinstance(t, Var):
+                if not (isinstance(s, Var) and isinstance(t, Var)
+                        and s.name == t.name):
+                    return False
+            elif s.symbol != t.symbol or len(s.args) != len(t.args):
+                return False
+            else:
+                pending.extend(zip(s.args, t.args))
+        if not pending:
+            return True
+        s, t = pending.pop()
+
+
 def occurs(name: str, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t.name == name
-    return any(occurs(name, a) for a in t.args)
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            if u.name == name:
+                return True
+        else:
+            stack.extend(u.args)
+    return False
 
 
 def unify(s: Term, t: Term) -> Optional[Subst]:
     """Idempotent most general unifier of ``s`` and ``t``, or None.
 
-    The algorithm is deterministic: equations are processed left to right
-    and bindings are eagerly composed into the accumulated unifier, so the
-    result depends only on the input pair.
+    The algorithm is deterministic: equations are processed left to right,
+    and a variable is bound to the other side as it stands, so the
+    bindings form a triangular substitution that is read through (and
+    occurs-checked through) instead of being applied at every step.  The
+    result resolves the bindings in the order they were made; it is the
+    unifier that eagerly composing each binding would give, and depends
+    only on the input pair.
     """
-    unifier: Subst = {}
-    queue: list[tuple[Term, Term]] = [(s, t)]
-    while queue:
-        lhs, rhs = queue.pop(0)
-        lhs = apply_subst(unifier, lhs)
-        rhs = apply_subst(unifier, rhs)
-        if lhs == rhs:
-            continue
+    bound: Subst = {}
+
+    def walk(u: Term) -> Term:
+        while isinstance(u, Var) and u.name in bound:
+            u = bound[u.name]
+        return u
+
+    def occurs_bound(name: str, u: Term) -> bool:
+        stack, seen = [u], set()
+        while stack:
+            u = stack.pop()
+            if isinstance(u, Var):
+                if u.name == name:
+                    return True
+                if u.name in bound and u.name not in seen:
+                    seen.add(u.name)
+                    stack.append(bound[u.name])
+            else:
+                stack.extend(u.args)
+        return False
+
+    stack: list[tuple[Term, Term]] = [(s, t)]
+    while stack:
+        lhs, rhs = stack.pop()
+        lhs, rhs = walk(lhs), walk(rhs)
         if isinstance(lhs, Fun) and isinstance(rhs, Fun):
             if lhs.symbol != rhs.symbol or len(lhs.args) != len(rhs.args):
                 return None
-            queue[:0] = list(zip(lhs.args, rhs.args))
+            stack.extend(reversed(list(zip(lhs.args, rhs.args))))
             continue
-        if isinstance(rhs, Var) and not isinstance(lhs, Var):
+        if isinstance(lhs, Fun):
             lhs, rhs = rhs, lhs
-        # lhs is a variable now
-        if occurs(lhs.name, rhs):
+        # lhs is an unbound variable now
+        if lhs == rhs:
+            continue
+        if occurs_bound(lhs.name, rhs):
             return None
-        binding = {lhs.name: rhs}
-        unifier = {x: apply_subst(binding, u) for x, u in unifier.items()}
-        unifier[lhs.name] = rhs
-    return unifier
+        bound[lhs.name] = rhs
+
+    resolved: Subst = {}
+
+    def resolve(u: Term) -> Term:
+        if isinstance(u, Var):
+            if u.name not in bound:
+                return u
+            if u.name not in resolved:
+                resolved[u.name] = resolve(bound[u.name])
+            return resolved[u.name]
+        if not u.args:
+            return u
+        return Fun(u.symbol, tuple(resolve(a) for a in u.args))
+
+    return {x: resolve(Var(x)) for x in bound}
 
 
 def rename(t: Term, mapping: dict[str, str]) -> Term:

@@ -2,10 +2,11 @@
 
 import itertools
 
-from kbd.orders import OrderSpec, Precedence, lpo_gt
-from kbd.rewriting import all_steps, is_normal_form, joinable, normalize
-from kbd.terms import (Equation, Fun, Rule, Var, is_ground, size, subterms,
-                       variables)
+from kbd.orders import OrderSpec, Precedence, lex_ext, lpo_gt
+from kbd.rewriting import (all_steps, innermost_redex, is_normal_form,
+                           joinable, normalize)
+from kbd.terms import (Equation, Fun, Rule, Var, apply_subst, is_ground,
+                       occurs, size, subterms, variables)
 
 # -- term generation ---------------------------------------------------
 
@@ -161,3 +162,72 @@ def brute_force_confluent(rules, terms, fuel=500):
 
 def lpo_order(prec):
     return OrderSpec("lpo", prec)
+
+
+# -- reference kernels: the straightforward versions of the fast paths ---
+
+def memo_lpo_gt(prec, s, t):
+    """LPO by its textbook definition, with every subterm comparison
+    memoized."""
+    cache = {}
+
+    def gt(s, t):
+        key = (s, t)
+        hit = cache.get(key)
+        if hit is None:
+            hit = cache[key] = compute(s, t)
+        return hit
+
+    def compute(s, t):
+        if isinstance(s, Var):
+            return False
+        if isinstance(t, Var):
+            return t.name in variables(s)
+        if any(si == t or gt(si, t) for si in s.args):
+            return True
+        if not all(gt(s, tj) for tj in t.args):
+            return False
+        if prec.gt(s.symbol, t.symbol):
+            return True
+        if s.symbol == t.symbol:
+            return lex_ext(gt, s.args, t.args)
+        return False
+
+    return gt(s, t)
+
+
+def eager_unify(s, t):
+    """The mgu computed left to right, applying the unifier to each
+    equation and composing every new binding into it at once."""
+    unifier = {}
+    queue = [(s, t)]
+    while queue:
+        lhs, rhs = queue.pop(0)
+        lhs = apply_subst(unifier, lhs)
+        rhs = apply_subst(unifier, rhs)
+        if lhs == rhs:
+            continue
+        if isinstance(lhs, Fun) and isinstance(rhs, Fun):
+            if lhs.symbol != rhs.symbol or len(lhs.args) != len(rhs.args):
+                return None
+            queue[:0] = list(zip(lhs.args, rhs.args))
+            continue
+        if isinstance(rhs, Var) and not isinstance(lhs, Var):
+            lhs, rhs = rhs, lhs
+        if occurs(lhs.name, rhs):
+            return None
+        binding = {lhs.name: rhs}
+        unifier = {x: apply_subst(binding, u) for x, u in unifier.items()}
+        unifier[lhs.name] = rhs
+    return unifier
+
+
+def stepwise_normal_form(t, candidates, order, fuel):
+    """The normal form by repeated leftmost-innermost steps, each searched
+    from the root, and the step count; None past ``fuel`` steps."""
+    for steps in range(fuel + 1):
+        hit = innermost_redex(t, candidates, order)
+        if hit is None:
+            return t, steps
+        t = hit[2]
+    return None

@@ -1,6 +1,8 @@
 """End-to-end command-line tests driven through the argparse entry point."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -279,6 +281,33 @@ class TestErrorsAndEnvironment:
                            "--prec", "i>*>i")
         assert code == 2
         assert err.startswith("PRECONDITION-FAILED (cyclic precedence")
+
+    def test_negative_weight_is_a_failed_precondition(self, capsys):
+        code, out, err = run(capsys, "complete", fixture("groups.es"),
+                             "--order", "kbo", "--prec", "i>*>e",
+                             "--weights", "i=-3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("PRECONDITION-FAILED (symbol i has negative")
+
+    def test_closed_pipe_exits_quietly(self):
+        # as in `kbd ... --trace /dev/stdout | head -1`, but with the
+        # reader gone before the first write
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.join(os.path.dirname(FIXTURES), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "kbd.cli", "complete-inf",
+                 fixture("braid.str"), "--string", "--order", "kbo",
+                 "--prec", "a>b", "--fuel", "100", "--trace", "/dev/stdout"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert proc.stderr == b""
 
     def test_no_subcommand_is_usage(self, capsys):
         assert entry([]) == 3

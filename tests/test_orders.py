@@ -1,13 +1,15 @@
 """Reduction orders: LPO, KBO, and the ground-derived order."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbd.orders import (InadmissibleOrder, KboWeights, OrderSpec, Precedence,
                         ground_derived_gt, kbo_admissible, kbo_gt, lex_ext,
                         lpo_gt, mul_ext)
 from kbd.terms import Fun, Rule, Var
 
-from helpers import random_term
+from helpers import memo_lpo_gt, random_term
 
 x, y = Var("x"), Var("y")
 a, b, c, d = Fun("a"), Fun("b"), Fun("c"), Fun("d")
@@ -98,6 +100,46 @@ class TestLpo:
                                   apply_subst(inst, t))
 
 
+    def test_deep_terms(self):
+        prec = Precedence([("b", "a")])
+        deep_b, deep_a = word("g" * 300, b), word("g" * 300, a)
+        assert lpo_gt(prec, deep_b, deep_a)
+        assert not lpo_gt(prec, deep_a, deep_b)
+        assert lpo_gt(prec, word("g" * 300), word("g" * 299))
+        assert not lpo_gt(prec, word("g" * 299), word("g" * 300))
+
+
+SYMBOLS = ["f", "g", "a", "b"]
+TERMS = st.recursive(
+    st.sampled_from([x, y, a, b]), lambda kids: st.one_of(
+        st.builds(lambda s: Fun("g", (s,)), kids),
+        st.builds(f, kids, kids)),
+    max_leaves=8)
+
+
+@st.composite
+def partial_precedences(draw):
+    """A random strict partial order on SYMBOLS: some of the pairs of a
+    random total order."""
+    order = draw(st.permutations(SYMBOLS))
+    pairs = [(p, q) for i, p in enumerate(order) for q in order[i + 1:]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Precedence([pq for pq, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=500, deadline=None)
+@given(prec=partial_precedences(), s=TERMS, t=TERMS)
+def test_lpo_gt_equals_the_memoized_definition(prec, s, t):
+    assert lpo_gt(prec, s, t) == memo_lpo_gt(prec, s, t)
+    assert lpo_gt(prec, t, s) == memo_lpo_gt(prec, t, s)
+    # a pair with shared structure, where the equal-root cases decide
+    u = Fun("f", (s, t))
+    v = Fun("f", (s, Fun("g", (s,))))
+    assert lpo_gt(prec, u, v) == memo_lpo_gt(prec, u, v)
+    assert lpo_gt(prec, v, u) == memo_lpo_gt(prec, v, u)
+
+
 class TestKbo:
     def test_braid_rule(self):
         prec = Precedence([("a", "b")])
@@ -140,6 +182,14 @@ class TestKbo:
         # constant below w0
         msg = kbo_admissible(Precedence(), KboWeights(2, {"a": 1}), arities)
         assert msg is not None
+
+    def test_negative_weight_rejected(self):
+        # with w(i) = -3, i(x) is lighter than x and kbo_gt would descend
+        # forever: i(x) > i(i(x)) > ...
+        arities = {"*": 2, "i": 1, "e": 0}
+        prec = Precedence.total(["i", "*", "e"])
+        msg = kbo_admissible(prec, KboWeights(1, {"i": -3}), arities)
+        assert msg is not None and "negative" in msg
 
 
 class TestGroundDerived:

@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbd.orders import OrderSpec, Precedence
-from kbd.rewriting import (all_steps, conversion_oracle, is_normal_form,
+from kbd.rewriting import (_equation_views, _normal_form, _rule_views,
+                           all_steps, conversion_oracle, is_normal_form,
                            joinable, normalize, ordered_normalize,
                            ordered_step, rewrite_step, step_at)
 from kbd.terms import (Equation, Fun, Rule, Var, apply_subst, match,
-                       positions, postorder_positions, replace_at, size,
-                       subterm_at, variables)
+                       positions, postorder_positions, replace_at, same,
+                       size, subterm_at, variables)
 
-from helpers import GROUND_SIG, random_ground_term
+from helpers import GROUND_SIG, random_ground_term, stepwise_normal_form
 
 x, y = Var("x"), Var("y")
 a, b, c = Fun("a"), Fun("b"), Fun("c")
@@ -81,6 +82,12 @@ class TestNormalize:
 
     def test_out_of_fuel_is_none(self):
         assert normalize([Rule(a, a)], a, 50) is None
+
+    def test_deep_unary_term(self):
+        deep = word("f" * 5000, a)
+        assert same(normalize([Rule(f(x), Fun("g", (x,)))], deep, 5000),
+                    word("g" * 5000, a))
+        assert normalize([Rule(f(x), Fun("g", (x,)))], deep, 4999) is None
 
 
 class TestJoinable:
@@ -281,3 +288,15 @@ def test_conversion_oracle_is_a_full_scan(rules, eqs, s, depth, data):
     cap = max(size(s), size(t)) + depth
     assert conversion_oracle(pairs, s, t, depth) == \
         (t in scan_conversion(pairs, s, depth, cap))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rules=RULES, eqs=EQUATIONS, t=TERMS, fuel=st.integers(0, 8))
+def test_normal_form_equals_repeated_innermost_steps(rules, eqs, t, fuel):
+    # a term with redexes inside and at the root, besides the random one
+    terms = [t] + [f(t, Fun("g", (r.lhs,))) for r in rules[:1]]
+    for views, order in ((_rule_views(rules), None),
+                         (_rule_views(rules) + _equation_views(eqs), LPO)):
+        for u in terms:
+            assert _normal_form(u, views, order, fuel) == \
+                stepwise_normal_form(u, views, order, fuel)

@@ -1,16 +1,19 @@
 """Terms, substitutions, matching, unification, encompassment."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbd.terms import (Equation, Fun, InvalidPosition, Rule, Signature, Var,
                        apply_subst, canonical_pair, compose, encompasses,
                        equation_variants, is_ground, literally_similar,
                        match, occurs, pair_variants, positions,
                        postorder_positions, proper_subterms,
-                       properly_encompasses, rename_apart, replace_at, size,
-                       subterm_at, subterms, unify, var_count, variables)
+                       properly_encompasses, rename_apart, replace_at, same,
+                       size, subterm_at, subterms, unify, var_count,
+                       variables)
 
-from helpers import GROUND_SIG, random_term
+from helpers import GROUND_SIG, eager_unify, random_term
 
 x, y, z = Var("x"), Var("y"), Var("z")
 a, b, c = Fun("a"), Fun("b"), Fun("c")
@@ -122,6 +125,36 @@ class TestUnify:
         assert unify(s, t) == unify(s, t)
         sigma = unify(s, t)
         assert apply_subst(sigma, s) == apply_subst(sigma, t)
+
+
+    def test_binding_order(self):
+        # left to right: x is bound first, to y; then y meets itself
+        assert unify(f(x, y), f(y, x)) == {"x": y}
+        assert unify(f(g(x), x), f(y, a)) == {"y": g(a), "x": a}
+
+    def test_deep_equality(self):
+        deep = word("ab" * 2500)
+        assert same(deep, word("ab" * 2500))
+        assert not same(deep, word("ab" * 2499 + "ba"))
+        assert not same(deep, word("ab" * 2500, y))
+
+
+TERMS = st.recursive(
+    st.sampled_from([x, y, z, a]), lambda kids: st.one_of(
+        st.builds(g, kids), st.builds(f, kids, kids)),
+    max_leaves=8)
+
+
+@settings(max_examples=500, deadline=None)
+@given(s=TERMS, t=TERMS, data=st.data())
+def test_unify_equals_the_eager_unifier(s, t, data):
+    assert unify(s, t) == eager_unify(s, t)
+    # an instance of a variant of s, which often unifies with s
+    u = data.draw(st.builds(
+        lambda p, q: apply_subst({"x": p, "y": q, "z": Var("x")}, s),
+        TERMS, TERMS))
+    assert unify(s, u) == eager_unify(s, u)
+    assert unify(u, s) == eager_unify(u, s)
 
 
 class TestEncompassment:
