@@ -1,12 +1,16 @@
 """Golden runs: the printed system and the ``--trace`` file of each
-benchmark command must stay byte-identical.
+benchmark command, and the output of the listing commands, must stay
+byte-identical.
 
-The commands are those of ``bench/workloads.py`` (the finite cases as
-they are, the diverge cases at a fuel cap of at most 100).  The files
-under ``fixtures/golden/`` are the outputs of a reference build; any
-change to the kernel, the orders or the engines that alters a single
-inference shows up here.  Every trace must also replay under its own
-variant to the printed system.
+The completion commands are those of ``bench/workloads.py`` (the finite
+cases as they are, the diverge cases at a fuel cap of at most 100).  The
+listing commands are ``cps``, ``pcps`` and ``check-confluence`` on every
+``fixtures/*.trs``, and ``xcps`` on the ordered problems with their
+benchmark precedences; the benchmark runs none of them.  The files under
+``fixtures/golden/`` are the outputs of a reference build; any change to
+the kernel, the orders, the critical-pair enumeration or the engines that
+alters a single inference or a single listed pair shows up here.  Every
+trace must also replay under its own variant to the printed system.
 
 To rewrite the goldens after an intended change of output::
 
@@ -14,6 +18,7 @@ To rewrite the goldens after an intended change of output::
 """
 
 import contextlib
+import glob
 import io
 import os
 import sys
@@ -46,6 +51,19 @@ CASES = {
     "comm_kbo": ("complete-ordered", "comm.es", ("--prec", "+>s>0"), 100),
     "comm_kbl": ("complete-linear", "comm.es", ("--prec", "+>s>0"), 50),
 }
+
+# name: (subcommand, problem file, order flags) of the listing commands
+LISTINGS = {
+    "%s_%s" % (command, os.path.basename(path)[:-4]):
+        (command, os.path.basename(path), ())
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.trs")))
+    for command in ("cps", "pcps", "check-confluence")
+}
+LISTINGS.update(
+    ("xcps_" + stem, ("xcps", stem + ".es", ("--prec", prec)))
+    for stem, prec in (("okb1", "+>*>->1>0"), ("okb2", "g>f>a>b"),
+                       ("plus", "+>0"), ("comm", "+>s>0"),
+                       ("groups", "i>*>e")))
 
 VARIANTS = {"complete": "kbf", "complete-ground": "kbg",
             "complete-inf": "kbi", "complete-ordered": "kbo",
@@ -92,6 +110,17 @@ def test_golden_trace_replays(name):
     assert out.split("\n", 1)[1] == golden.split("\n", 1)[1]
 
 
+def _listing(name):
+    command, problem, flags = LISTINGS[name]
+    return _run([command, os.path.join(FIXTURES, problem)] + list(flags))[1]
+
+
+@pytest.mark.parametrize("name", list(LISTINGS))
+def test_golden_listing(name, monkeypatch):
+    monkeypatch.delenv("KBD_FUEL", raising=False)
+    assert _listing(name) == _read(os.path.join(GOLDEN, name + ".out"))
+
+
 def regenerate():
     os.makedirs(GOLDEN, exist_ok=True)
     os.environ.pop("KBD_FUEL", None)
@@ -101,6 +130,9 @@ def regenerate():
         with open(os.path.join(GOLDEN, name + ".out"), "w") as fh:
             fh.write(out)
         print(name, out.split("\n", 1)[0], file=sys.stderr)
+    for name in LISTINGS:
+        with open(os.path.join(GOLDEN, name + ".out"), "w") as fh:
+            fh.write(_listing(name))
 
 
 if __name__ == "__main__":
