@@ -3,8 +3,9 @@
 Subcommands cover the five completion engines, critical-pair listings,
 interreduction, word-problem decisions, a local-confluence check, and
 trace replay.  Exit status: 0 for SUCCESS/VALID/CONFLUENT, 1 for
-FAIL/INVALID/NOT-CONFLUENT, 2 for MAYBE or unmet preconditions, 3 for
-usage and parse errors and for output cut off by a closed pipe (as in
+FAIL/INVALID/NOT-CONFLUENT, 2 for MAYBE or unmet preconditions (among
+them terms nested too deep for Python's recursion limit), 3 for usage
+and parse errors and for output cut off by a closed pipe (as in
 ``kbd ... | head -1``).
 """
 
@@ -166,14 +167,11 @@ def cmd_complete(args) -> int:
     variant, engine = ENGINES[args.command]
     order = build_order(args, pf)
     try:
-        if variant == "kbg":
-            result = engine(pf.equations, order)
-        else:
-            result = engine(pf.equations, order, fuel_of(args))
+        result = engine(pf.equations, order, fuel_of(args))
     except ValueError as e:
         raise CliError(str(e), EXIT_MAYBE)
-    print(result.status.upper())
     out = show_system(result.state.R, result.state.E, args.string)
+    print(result.status.upper())
     if out:
         print(out)
     if args.trace:
@@ -405,6 +403,10 @@ def entry(argv: Optional[list[str]] = None) -> int:
         # at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
+    except RecursionError:
+        # terms are nested too deep for the recursive parts of the kernel
+        print("PRECONDITION-FAILED (term nesting too deep)", file=sys.stderr)
+        return EXIT_MAYBE
 
 
 def main():  # pragma: no cover

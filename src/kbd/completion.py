@@ -20,9 +20,9 @@ and replayed step by step, with all side conditions re-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
-from .critical_pairs import overlap_at, pair_overlaps
+from .critical_pairs import OverlapCache, Peak, overlap_at, peak_pairs
 from .orders import OrderSpec
 from .rewriting import (_contractions, _equation_views, _normal_form,
                         _rule_views, conversion_oracle, innermost_redex)
@@ -91,20 +91,6 @@ class RunState:
 
     def copy(self) -> "RunState":
         return RunState(list(self.E), list(self.R), list(self.e_union))
-
-
-class Peak(NamedTuple):
-    """The critical peak a deduced equation comes from: ``inner``
-    overlaps ``outer`` at position ``pos`` of ``outer``'s left-hand side.
-
-    Each participant is a reference and a direction, as ``ref`` and
-    ``ref_rev`` of :class:`Inference`: ``(('rule', k), False)`` or, in the
-    ordered calculi, ``(('eq', j), rev)``.
-    """
-
-    outer: tuple[tuple[str, int], bool]
-    inner: tuple[tuple[str, int], bool]
-    pos: Position
 
 
 @dataclass(frozen=True)
@@ -240,21 +226,20 @@ def _deduce_ok(state: RunState, eq: Equation, ordered: bool,
 
     Membership in the critical pairs of the current system (of E± ∪ R
     under the ordering conditions in the ordered calculi, of R otherwise)
-    is checked first; otherwise a short conversion between the two sides,
-    which also covers instances of equations, is accepted as evidence of a
-    peak.
+    is checked first.  Otherwise, in the ordered calculi, a conversion of
+    at most two E± steps between the two sides is accepted: E± steps are
+    symmetric, so it is a peak, and it covers instances of equations.
+    Rule steps do not count, as ``s -> u <- t`` is a valley.
     """
     keys = {canonical_pair(eq), canonical_pair(eq.reversed())}
     E = state.E if ordered else []
-    views = [view for _, view in _rule_views(state.R) + _equation_views(E)]
-    if any(canonical_pair(o.pair()) in keys
-           for outer in views for inner in views
-           for o in pair_overlaps(outer, inner, order if ordered else None)):
+    views = _rule_views(state.R) + _equation_views(E)
+    if any(canonical_pair(pair) in keys for pair, _ in
+           peak_pairs(views, order if ordered else None, prime=False)):
         return True
-    pairs = state.R + E
     cap = max(size(eq.lhs), size(eq.rhs)) + \
-        max([max(size(p.lhs), size(p.rhs)) for p in pairs] or [0]) + 2
-    return conversion_oracle(pairs, eq.lhs, eq.rhs, depth=2, size_cap=cap)
+        max([max(size(e.lhs), size(e.rhs)) for e in E] or [0]) + 2
+    return conversion_oracle(E, eq.lhs, eq.rhs, depth=2, size_cap=cap)
 
 
 def apply_inference(state: RunState, inf: Inference, variant: str,
@@ -374,10 +359,9 @@ class _Driver:
         self.parked: set[Equation] = set()
         # the pick key of each equation in E (see priority)
         self.priorities: dict[Equation, tuple[int, str]] = {}
-        # an id for every peak view seen, and the overlaps of each pair of
-        # current views by their ids
-        self.view_ids: dict[RuleLike, int] = {}
-        self.pair_peaks: dict[tuple[int, int], tuple] = {}
+        # the overlaps of the peak views, kept from one fairness scan to
+        # the next
+        self.overlaps = OverlapCache()
         # the append-only e_union's members read both ways, and in the
         # ordered calculi their canonical pairs, fed from its new tail
         self.e_union_views: list = []
@@ -461,9 +445,6 @@ class _Driver:
         normalizes."""
         return _rule_views(self.state.R)
 
-    def peak_overlaps(self, outer: RuleLike, inner: RuleLike):
-        return pair_overlaps(outer, inner)
-
     def joins(self, s: Term, t: Term) -> bool:
         """Do ``s`` and ``t`` reach the same normal form under the peak
         views (which exists, the rewrite relation being contained in a
@@ -474,40 +455,6 @@ class _Driver:
             return False
         r = _normal_form(t, views, self.order, 2000)
         return r is not None and l[0] == r[0]
-
-    def prime_peaks(self) -> list[tuple[Equation, Peak]]:
-        """The prime critical pairs of the current system, each with the
-        first peak that yields it, deduplicated as ``dedup_pairs`` does.
-
-        The overlaps of a pair of views depend on the two views alone, so
-        each pair's are computed once; each scan keeps only the pairs of
-        current views and re-checks primality, which depends on the whole
-        system.  A redex is prime when its arguments are irreducible by
-        the peak views, since a reducible subterm makes every term around
-        it reducible.
-        """
-        views = self.peak_views()
-        ids = [self.view_ids.setdefault(view, len(self.view_ids))
-               for _, view in views]
-        old_peaks, self.pair_peaks = self.pair_peaks, {}
-        seen = set()
-        out = []
-        for (oref, outer), oid in zip(views, ids):
-            for (iref, inner), iid in zip(views, ids):
-                found = old_peaks.get((oid, iid))
-                if found is None:
-                    found = tuple((o.pos, o.pair(), o.redex())
-                                  for o in self.peak_overlaps(outer, inner))
-                self.pair_peaks[oid, iid] = found
-                for pos, pair, redex in found:
-                    if any(innermost_redex(a, views, self.order)
-                           for a in redex.args):
-                        continue
-                    key = canonical_pair(pair)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append((pair, Peak(oref, iref, pos)))
-        return out
 
     def feed_e_union(self):
         """Extend ``e_union_views`` and, in the ordered calculi,
@@ -531,11 +478,14 @@ class _Driver:
         a recorded equation, which a single step misses when the sides
         differ in their variables; they test it first, as it is cheapest.
         """
-        if not self.calculus.deduces:
+        calc = self.calculus
+        if not calc.deduces:
             return []
         self.feed_e_union()
-        ordered = self.calculus.ordered
-        return [(eq, peak) for eq, peak in self.prime_peaks()
+        ordered = calc.ordered
+        peaks = peak_pairs(self.peak_views(), self.order if ordered else None,
+                           calc.linear, cache=self.overlaps)
+        return [(eq, peak) for eq, peak in peaks
                 if not (eq.is_trivial()
                         or ordered and canonical_pair(eq) in self.recorded
                         or self.joins(eq.lhs, eq.rhs)
@@ -617,14 +567,16 @@ def run_kbf(eqs: Sequence[Equation], order: OrderSpec,
     return _Driver(eqs, order, "kbf", fuel).run()
 
 
-def run_kbg(eqs: Sequence[Equation], order: OrderSpec) -> RunResult:
+def run_kbg(eqs: Sequence[Equation], order: OrderSpec,
+            fuel: Optional[int] = None) -> RunResult:
     """Ground completion: terminates on every ground input with a ground-
-    total reduction order, producing the canonical presentation."""
+    total reduction order, producing the canonical presentation; ``fuel``
+    may still cap the number of inferences."""
     for eq in eqs:
         if variables(eq.lhs) or variables(eq.rhs):
             raise ValueError("ground completion needs ground equations: %s"
                              % eq)
-    return _Driver(eqs, order, "kbg", None).run()
+    return _Driver(eqs, order, "kbg", fuel).run()
 
 
 def run_kbi(eqs: Sequence[Equation], order: OrderSpec,

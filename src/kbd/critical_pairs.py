@@ -7,24 +7,42 @@ systems joinability of the prime critical pairs already decides local
 confluence.  Extended critical pairs generalize both notions to ordered
 rewriting with a mix of rules and (possibly unorientable) equations.
 
-One enumeration, :func:`critical_peaks`, lists the peaks of E± ∪ R (the
-rules, and each equation read both ways); plain completion is the case
-E = ∅ with no order.  The prime, extended and linear critical pairs are
-filters over it.
+One enumeration, :func:`peak_pairs`, lists the critical pairs of a list
+of views (the rules, and in the ordered calculi each equation read both
+ways), each with the first :class:`Peak` that yields it.  The completion
+engines scan with it, keeping each pair of views' overlaps for a whole
+run in an :class:`OverlapCache`; replay checks a deduce that names no
+peak against it; and CP, PCP and the extended and linear critical pairs
+are one-liners over it.  Plain completion is the case of rule views and
+no order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .orders import OrderSpec
 from .rewriting import (Eqns, Rules, _equation_views, _rule_views,
-                        ordered_step)
+                        innermost_redex)
 from .terms import (Equation, Position, Rule, RuleLike, Term, Var,
-                    apply_subst, canonical_terms, fun_positions,
-                    pair_variants, proper_subterms, rename_apart, replace_at,
-                    subterm_at, unify)
+                    apply_subst, canonical_pair, fun_positions,
+                    pair_variants, rename_apart, replace_at, subterm_at,
+                    unify)
+
+
+class Peak(NamedTuple):
+    """The critical peak a critical pair comes from: ``inner`` overlaps
+    ``outer`` at position ``pos`` of ``outer``'s left-hand side.
+
+    Each participant is a reference and a direction, as the views of
+    :func:`kbd.rewriting.innermost_redex` carry them: ``(('rule', k),
+    False)`` or, for an equation, ``(('eq', j), rev)``.
+    """
+
+    outer: tuple[tuple[str, int], bool]
+    inner: tuple[tuple[str, int], bool]
+    pos: Position
 
 
 @dataclass(frozen=True)
@@ -46,23 +64,6 @@ class Overlap:
         reduct = apply_subst(self.mgu, self.inner.rhs)
         return Equation(replace_at(source, self.pos, reduct),
                         apply_subst(self.mgu, self.outer.rhs))
-
-
-@dataclass(frozen=True)
-class CriticalPeak:
-    """The two reducts of a critical overlap.
-
-    ``left`` is the result of contracting the inner redex at ``pos`` inside
-    the overlapped term; ``right`` contracts that term at the root.
-    """
-
-    left: Term
-    pos: Position
-    right: Term
-    prime: bool
-
-    def pair(self) -> Equation:
-        return Equation(self.left, self.right)
 
 
 def _overlap(outer: RuleLike, inner: RuleLike, pos: Position,
@@ -125,36 +126,63 @@ def overlap_at(outer: RuleLike, inner: RuleLike, pos: Position,
     return _overlap(outer, rename_apart(outer, inner), pos, order)
 
 
-def overlaps(rules: Rules) -> list[Overlap]:
-    """All overlaps between (renamed-apart) variants of rules in ``rules``.
+@dataclass
+class OverlapCache:
+    """The overlaps of each pair of views, kept by :func:`peak_pairs`
+    from one scan to the next of a completion run.
 
-    A rule overlapping a variant of itself at the root is excluded.
+    The overlaps of two views depend on the two views alone (and on the
+    order and ``linear``, fixed for the run).  Each view gets a small id
+    the first time it is seen, so that a scan hashes each view once; an
+    entry holds the position, the critical pair and the redex of each
+    overlap, and each scan keeps only its own pairs'.
     """
-    rule_list = list(rules)
-    return [o for outer in rule_list for inner in rule_list
-            for o in pair_overlaps(outer, inner)]
+
+    ids: dict[RuleLike, int] = field(default_factory=dict)
+    overlaps: dict[tuple[int, int], tuple] = field(default_factory=dict)
 
 
-def critical_peaks(rules: Rules, eqs: Eqns = (),
-                   order: Optional[OrderSpec] = None,
-                   linear: bool = False) -> list[CriticalPeak]:
-    """The critical peaks of E± ∪ R, under the conditions of
-    :func:`pair_overlaps`.
+def peak_pairs(views, order: Optional[OrderSpec] = None,
+               linear: bool = False, prime: bool = True,
+               cache: Optional[OverlapCache] = None
+               ) -> Iterator[tuple[Equation, Peak]]:
+    """The critical pairs of ``views``, each with the first peak that
+    yields it, one at a time, so that a search for one pair stops when it
+    finds it.
 
-    A peak is prime when every proper subterm of its contracted redex is
-    a normal form of the rewrite relation R ∪ E-oriented (of R alone when
-    there are no equations).
+    ``views`` are ``(ref, view)`` pairs as :func:`kbd.rewriting.
+    _rule_views` and :func:`kbd.rewriting._equation_views` build them.
+    Overlaps are those of :func:`pair_overlaps` under ``order`` and
+    ``linear``, taken by outer view, then inner view, then position, and
+    the pairs are deduplicated up to variants (as ordered pairs), keeping
+    the first.  With ``prime``, only prime pairs are kept: those whose
+    redex has arguments irreducible by the views (the order deciding
+    which equation instances apply), since a reducible subterm makes every
+    term around it reducible.  ``cache`` carries the overlaps from one
+    scan to the next, for scans with the same ``order`` and ``linear``; a
+    scan left unfinished keeps only the pairs it reached.
     """
-    views = [view for _, view in _rule_views(rules) + _equation_views(eqs)]
-    out = []
-    for outer in views:
-        for inner in views:
-            for o in pair_overlaps(outer, inner, order, linear):
-                pair = o.pair()
-                prime = all(ordered_step(eqs, rules, order, u) is None
-                            for u in proper_subterms(o.redex()))
-                out.append(CriticalPeak(pair.lhs, o.pos, pair.rhs, prime))
-    return out
+    if cache is None:
+        cache = OverlapCache()
+    ids = [cache.ids.setdefault(view, len(cache.ids))
+           for _, view in views]
+    old, cache.overlaps = cache.overlaps, {}
+    seen = set()
+    for (oref, outer), oid in zip(views, ids):
+        for (iref, inner), iid in zip(views, ids):
+            found = old.get((oid, iid))
+            if found is None:
+                found = tuple((o.pos, o.pair(), o.redex()) for o in
+                              pair_overlaps(outer, inner, order, linear))
+            cache.overlaps[oid, iid] = found
+            for pos, pair, redex in found:
+                if prime and any(innermost_redex(a, views, order)
+                                 for a in redex.args):
+                    continue
+                key = canonical_pair(pair)
+                if key not in seen:
+                    seen.add(key)
+                    yield pair, Peak(oref, iref, pos)
 
 
 def dedup_pairs(eqs: Sequence[Equation]) -> list[Equation]:
@@ -162,7 +190,7 @@ def dedup_pairs(eqs: Sequence[Equation]) -> list[Equation]:
     seen = set()
     out = []
     for eq in eqs:
-        key = canonical_terms([eq.lhs, eq.rhs])
+        key = canonical_pair(eq)
         if key not in seen:
             seen.add(key)
             out.append(eq)
@@ -171,17 +199,13 @@ def dedup_pairs(eqs: Sequence[Equation]) -> list[Equation]:
 
 def critical_pairs(rules: Rules) -> list[Equation]:
     """CP(R): all critical pairs, deduplicated up to literal similarity."""
-    return dedup_pairs([o.pair() for o in overlaps(rules)])
-
-
-def _prime_pairs(peaks: list[CriticalPeak]) -> list[Equation]:
-    return dedup_pairs([p.pair() for p in peaks if p.prime])
+    return [pair for pair, _ in peak_pairs(_rule_views(rules), prime=False)]
 
 
 def prime_critical_pairs(rules: Rules) -> list[Equation]:
     """PCP(R): critical pairs whose contracted redex has irreducible
     proper subterms."""
-    return _prime_pairs(critical_peaks(rules))
+    return [pair for pair, _ in peak_pairs(_rule_views(rules))]
 
 
 def extended_critical_pairs(eqs: Eqns, rules: Rules,
@@ -191,7 +215,8 @@ def extended_critical_pairs(eqs: Eqns, rules: Rules,
     For an overlap of l1 ≈ r1 into l2 ≈ r2 with mgu μ the ordering
     conditions require r1μ not > l1μ and r2μ not > l2μ.
     """
-    return _prime_pairs(critical_peaks(rules, eqs, order))
+    views = _rule_views(rules) + _equation_views(eqs)
+    return [pair for pair, _ in peak_pairs(views, order)]
 
 
 def linear_critical_pairs(eqs: Eqns, rules: Rules,
@@ -202,4 +227,5 @@ def linear_critical_pairs(eqs: Eqns, rules: Rules,
     l1 > r1 and r2 not > l2, or l2 > r2 and r1 not > l1 (on the equations
     themselves, before instantiation).
     """
-    return _prime_pairs(critical_peaks(rules, eqs, order, linear=True))
+    views = _rule_views(rules) + _equation_views(eqs)
+    return [pair for pair, _ in peak_pairs(views, order, linear=True)]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .completion import RunResult, _Driver, is_linear
-from .critical_pairs import dedup_pairs, pair_overlaps
+from .critical_pairs import dedup_pairs
 from .orders import OrderSpec
 from .rewriting import (_contractions, _equation_views, _rule_views, _steps,
                         normalize, ordered_normalize)
@@ -33,10 +33,6 @@ class _OrderedDriver(_Driver):
 
     def peak_views(self) -> list[tuple[tuple, RuleLike]]:
         return _rule_views(self.state.R) + _equation_views(self.state.E)
-
-    def peak_overlaps(self, outer: RuleLike, inner: RuleLike):
-        return pair_overlaps(outer, inner, self.order,
-                             linear=self.calculus.linear)
 
 
 def run_kbo(eqs: Sequence[Equation], order: OrderSpec,

@@ -1,12 +1,15 @@
 """Shared generators and small oracles for the test suites."""
 
 import itertools
+from typing import NamedTuple
 
+from kbd.critical_pairs import dedup_pairs, pair_overlaps
 from kbd.orders import OrderSpec, Precedence, lex_ext, lpo_gt
-from kbd.rewriting import (all_steps, innermost_redex, is_normal_form,
-                           joinable, normalize)
+from kbd.rewriting import (_equation_views, _rule_views, all_steps,
+                           innermost_redex, is_normal_form, joinable,
+                           normalize, ordered_step)
 from kbd.terms import (Equation, Fun, Rule, Var, apply_subst, is_ground,
-                       occurs, size, subterms, variables)
+                       occurs, proper_subterms, size, subterms, variables)
 
 # -- term generation ---------------------------------------------------
 
@@ -231,3 +234,41 @@ def stepwise_normal_form(t, candidates, order, fuel):
             return t, steps
         t = hit[2]
     return None
+
+
+class CriticalPeak(NamedTuple):
+    """The two reducts of a critical overlap: ``left`` contracts the inner
+    redex at ``pos`` inside the overlapped term, ``right`` contracts that
+    term at the root."""
+
+    left: object
+    pos: tuple
+    right: object
+    prime: bool
+
+    def pair(self):
+        return Equation(self.left, self.right)
+
+
+def critical_peaks(rules, eqs=(), order=None, linear=False):
+    """The critical peaks of E± ∪ R, every overlap of every pair of views
+    in turn, each flagged prime when no proper subterm of its contracted
+    redex has a step under R ∪ E-oriented (R alone without equations)."""
+    views = [view for _, view in _rule_views(rules) + _equation_views(eqs)]
+    out = []
+    for outer in views:
+        for inner in views:
+            for o in pair_overlaps(outer, inner, order, linear):
+                pair = o.pair()
+                prime = all(ordered_step(eqs, rules, order, u) is None
+                            for u in proper_subterms(o.redex()))
+                out.append(CriticalPeak(pair.lhs, o.pos, pair.rhs, prime))
+    return out
+
+
+def reference_pairs(rules, eqs=(), order=None, linear=False, prime=True):
+    """The (prime) critical pairs of :func:`critical_peaks`, deduplicated
+    up to variants, first come first kept."""
+    return dedup_pairs([p.pair() for p in
+                        critical_peaks(rules, eqs, order, linear)
+                        if p.prime or not prime])

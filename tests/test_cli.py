@@ -118,6 +118,17 @@ class TestCompleteGround:
         assert code == 2
         assert "PRECONDITION-FAILED" in err
 
+    def test_fuel_is_honoured(self, capsys):
+        code, out, err = run(capsys, "complete-ground", fixture("ground.es"),
+                             "--prec", "a>b>c>f", "--fuel", "-1")
+        assert code == 3
+        assert out == ""
+        assert "--fuel must not be negative" in err
+        code, out, _ = run(capsys, "complete-ground", fixture("ground.es"),
+                           "--prec", "a>b>c>f", "--fuel", "0")
+        assert code == 2
+        assert out.splitlines()[0] == "OUT-OF-FUEL"
+
 
 class TestCompleteInf:
     def test_braid_string_mode(self, capsys):
@@ -259,6 +270,33 @@ class TestCheckConfluence:
         assert out.startswith("PRECONDITION-FAILED")
 
 
+class TestReplayDeduce:
+    """A deduce without ``from`` must come from a peak, not a valley."""
+
+    @pytest.mark.parametrize("variant, word", [
+        ("kbf", "deduce"), ("kbi", "deduce"), ("kbo", "deduce-ext")])
+    def test_valley_rejected(self, capsys, tmp_path, variant, word):
+        problem = tmp_path / "valley.trs"
+        problem.write_text("(RULES\n  a -> b\n  c -> b\n)\n")
+        script = tmp_path / "trace"
+        script.write_text("%s a == c\n" % word)
+        code, out, _ = run(capsys, "pcps", str(problem))
+        assert (code, out) == (0, "")
+        code, out, _ = run(capsys, "replay", str(problem), "--script",
+                           str(script), "--variant", variant,
+                           "--prec", "a>c>b")
+        assert code == 1
+        assert out == "FAIL (no peak yields a == c)\n"
+
+    def test_critical_pair_accepted(self, capsys, tmp_path):
+        script = tmp_path / "trace"
+        script.write_text("deduce f(a) == c\n")
+        code, out, _ = run(capsys, "replay", fixture("pcpex.trs"),
+                           "--script", str(script), "--prec", "f>a>b>c")
+        assert code == 0
+        assert out.splitlines()[0] == "SUCCESS"
+
+
 class TestErrorsAndEnvironment:
     def test_parse_error_exit_code(self, capsys, tmp_path):
         prob = tmp_path / "bad.es"
@@ -308,6 +346,18 @@ class TestErrorsAndEnvironment:
             os.close(write_end)
         assert proc.returncode == 3
         assert proc.stderr == b""
+
+    def test_deep_term_is_a_failed_precondition(self, capsys, tmp_path):
+        term = "a"
+        for _ in range(400):
+            term = "f(%s)" % term
+        problem = tmp_path / "deep.es"
+        problem.write_text("(EQUATIONS\n  %s == b\n)\n" % term)
+        code, out, err = run(capsys, "complete", str(problem),
+                             "--prec", "f>a>b")
+        assert code == 2
+        assert out == ""
+        assert err == "PRECONDITION-FAILED (term nesting too deep)\n"
 
     def test_no_subcommand_is_usage(self, capsys):
         assert entry([]) == 3

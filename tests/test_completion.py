@@ -117,6 +117,25 @@ class TestApplyInference:
                         "kbf", lpo([]))
         assert Equation(f(a), b) in state.E
 
+    @pytest.mark.parametrize("variant", ["kbf", "kbi", "kbo", "kbl"])
+    def test_deduce_rejects_a_valley(self, variant):
+        # a -> b <- c has no peak: a == c is no critical pair of R, and a
+        # conversion through R does not make one
+        state = RunState.start([], [Rule(a, b), Rule(c, b)])
+        assert prime_critical_pairs(state.R) == []
+        inf = Inference("deduce", equation=Equation(a, c))
+        with pytest.raises(SideConditionError):
+            apply_inference(state, inf, variant,
+                            lpo([("a", "c"), ("c", "b")]))
+
+    def test_deduce_accepts_an_equation_peak(self):
+        # a <- b -> c with equations read both ways is a peak of E±
+        state = RunState.start([Equation(a, b), Equation(b, c)], [])
+        inf = Inference("deduce", equation=Equation(a, c))
+        apply_inference(state.copy(), inf, "kbo", lpo([("a", "b")]))
+        with pytest.raises(SideConditionError):
+            apply_inference(state.copy(), inf, "kbf", lpo([("a", "b")]))
+
     def test_deduce_forbidden_in_kbg(self):
         state = RunState.start([], [Rule(a, b)])
         with pytest.raises(SideConditionError):
@@ -262,6 +281,17 @@ class TestRunKbg:
         assert trs_variants(result.rules,
                             [Rule(f(b), c), Rule(f(c), c), Rule(a, c)])
         assert is_reduced(result.rules)
+
+    def test_fuel_caps_inferences(self):
+        eqs = [Equation(f(f(a)), b), Equation(f(a), c), Equation(a, d)]
+        order = lpo([("f", "a"), ("a", "b"), ("b", "c"), ("c", "d")])
+        full = run_kbg(eqs, order)
+        assert full.status == "success" and len(full.trace) > 2
+        assert run_kbg(eqs, order, len(full.trace) + 1).trace == full.trace
+        capped = run_kbg(eqs, order, 2)
+        assert capped.status == "out-of-fuel"
+        assert capped.trace == full.trace[:2]
+        assert run_kbg(eqs, order, 0).trace == []
 
     def test_kbg_stuck_without_deduce(self):
         # ground completion cannot proceed on the f(x) ≈ f(a) system,

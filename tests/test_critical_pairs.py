@@ -3,15 +3,21 @@
 import glob
 import os
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from kbd.cli import search_lpo
-from kbd.critical_pairs import (critical_pairs, critical_peaks,
+from kbd.critical_pairs import (OverlapCache, critical_pairs,
                                 extended_critical_pairs,
-                                linear_critical_pairs, overlaps,
-                                prime_critical_pairs)
+                                linear_critical_pairs, pair_overlaps,
+                                peak_pairs, prime_critical_pairs)
 from kbd.orders import OrderSpec, Precedence
 from kbd.parsing import parse_problem
+from kbd.rewriting import _equation_views, _rule_views
 from kbd.terms import (Equation, Fun, Rule, Var, canonical_pair,
-                       equation_variants, pair_variants)
+                       equation_variants, pair_variants, variables)
+
+from helpers import reference_pairs
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -46,18 +52,20 @@ def variant_set(eqs):
 
 class TestOverlaps:
     def test_no_self_root_overlap(self):
-        assert overlaps([Rule(a, b)]) == []
-        assert overlaps([Rule(f(x, y), x)]) == []
+        for rule in (Rule(a, b), Rule(f(x, y), x)):
+            assert pair_overlaps(rule, rule) == []
 
     def test_word_self_overlap(self):
         rule = Rule(word("aba"), word("ab"))
-        positions = {o.pos for o in overlaps([rule])}
+        positions = {o.pos for o in pair_overlaps(rule, rule)}
         assert (1, 1) in positions
         assert () not in positions
 
     def test_root_overlap_of_distinct_rules(self):
-        os = overlaps(PCPEX)
-        assert any(o.pos == () and o.inner is not o.outer for o in os)
+        os = [o for outer in PCPEX for inner in PCPEX
+              for o in pair_overlaps(outer, inner)]
+        assert any(o.pos == () and not pair_variants(o.inner, o.outer)
+                   for o in os)
         assert any(o.pos == (1,) for o in os)
 
 
@@ -102,12 +110,13 @@ class TestPrimeCriticalPairs:
         assert not has_variant(pcps, Equation(b, c))
 
     def test_peak_prime_flags(self):
-        peaks = critical_peaks(PCPEX)
-        for p in peaks:
-            if p.pos == ():
-                assert not p.prime
-            else:
-                assert p.prime
+        # the root overlaps of f(a) -> b and f(a) -> c contract f(a), whose
+        # argument a -> a reduces; a -> a into f(a) at 1 contracts a
+        views = _rule_views(PCPEX)
+        every = list(peak_pairs(views, prime=False))
+        assert {peak.pos for _, peak in every} == {(), (1,)}
+        assert list(peak_pairs(views)) == [(pair, peak) for pair, peak
+                                           in every if peak.pos != ()]
 
 
 def lpo(*chain):
@@ -181,3 +190,41 @@ class TestLinearCriticalPairs:
         xcps = extended_critical_pairs(eqs, [], order)
         for eq in linear_critical_pairs(eqs, [], order):
             assert has_variant(xcps, eq)
+
+
+# -- the one enumeration against the all-subterms primality oracle ------
+
+LEAVES = st.sampled_from([x, y, a, b])
+TERMS = st.recursive(
+    LEAVES, lambda kids: st.one_of(
+        st.builds(lambda s: Fun("g", (s,)), kids),
+        st.builds(lambda s, t: Fun("f", (s, t)), kids, kids)),
+    max_leaves=5)
+RULES = st.tuples(TERMS.filter(lambda t: isinstance(t, Fun)), TERMS).filter(
+    lambda lr: set(variables(lr[1])) <= set(variables(lr[0]))).map(
+    lambda lr: Rule(*lr))
+ORDERS = st.permutations(["f", "g", "a", "b"]).map(lpo)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rules=st.lists(RULES, max_size=3),
+       eqs=st.lists(st.builds(Equation, TERMS, TERMS), max_size=2),
+       order=ORDERS)
+def test_peak_pairs_match_reference(rules, eqs, order):
+    """Testing only the redex's arguments for steps lists the same pairs,
+    in the same order, as testing every proper subterm of it."""
+    assert critical_pairs(rules) == reference_pairs(rules, prime=False)
+    assert prime_critical_pairs(rules) == reference_pairs(rules)
+    assert extended_critical_pairs(eqs, rules, order) == \
+        reference_pairs(rules, eqs, order)
+    assert linear_critical_pairs(eqs, rules, order) == \
+        reference_pairs(rules, eqs, order, linear=True)
+    views = _rule_views(rules) + _equation_views(eqs)
+    assert [pair for pair, _ in peak_pairs(views, order, prime=False)] == \
+        reference_pairs(rules, eqs, order, prime=False)
+    # overlaps cached from a scan of other views give the same scan
+    cache = OverlapCache()
+    list(peak_pairs(_equation_views(eqs) + _rule_views(rules[1:]), order,
+                    cache=cache))
+    assert list(peak_pairs(views, order, cache=cache)) == \
+        list(peak_pairs(views, order))
