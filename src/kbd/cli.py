@@ -142,7 +142,7 @@ def show_pair(pair, string_mode: bool) -> str:
     if string_mode:
         l, r = term_word(pair.lhs), term_word(pair.rhs)
         if l is not None and r is not None:
-            return "%s %s %s" % (l.rstrip("x"), arrow, r.rstrip("x"))
+            return "%s %s %s" % (l, arrow, r)
     return "%s %s %s" % (pair.lhs, arrow, pair.rhs)
 
 

@@ -14,7 +14,10 @@ conditions that :data:`CALCULI` records for each:
   in :mod:`kbd.ordered`.
 
 Every state change is an :class:`Inference`; a run's trace can be printed
-and replayed step by step, with all side conditions re-checked.
+and replayed step by step, with all side conditions re-checked.  An
+engine spends its fuel, one unit per inference, in ``_Driver.emit`` and
+nowhere else, so a run that needs exactly N inferences ends under fuel N
+as it would with no cap.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from .orders import OrderSpec
 from .rewriting import (_contractions, _equation_views, _normal_form,
                         _rule_views, conversion_oracle, innermost_redex)
 from .terms import (Equation, Fun, InvalidPosition, Position, Rule, RuleLike,
-                    Term, Var, apply_subst, canonical_pair, equation_variants,
-                    match, pair_variants, properly_encompasses, replace_at,
-                    size, subterm_at, subterms, variables)
+                    Term, Var, canonical_pair, equation_variants,
+                    pair_variants, replace_at, size, subterm_at, subterms,
+                    variables)
 
 
 class SideConditionError(Exception):
@@ -173,30 +176,23 @@ def _rewrite_with_ref(state: RunState, term: Term, pos: Position,
                       *, exclude_rule: Optional[int] = None,
                       allow_equations: bool = False,
                       encompass: bool = False) -> Term:
-    """Apply the referenced rule or oriented equation instance at ``pos``.
-
-    ``encompass`` additionally demands that the whole ``term`` properly
-    encompasses the (uninstantiated) left-hand side used.
+    """Apply the referenced rule or oriented equation instance at ``pos``,
+    through the one step primitive, :func:`_contractions`: an equation
+    instance must be decreasing, and ``encompass`` additionally demands
+    that the whole ``term`` properly encompasses the (uninstantiated)
+    left-hand side used.
     """
     if ref is not None and ref[0] == "rule" and ref[1] == exclude_rule:
         raise SideConditionError("rule may not rewrite with itself")
     view = _oriented(state, ref, ref_rev, allow_equations)
-    lhs, rhs = view.lhs, view.rhs
-    sub = _subterm(term, pos)
-    sigma = match(lhs, sub)
-    if sigma is None:
+    hit = next(_contractions(_subterm(term, pos), [((ref, ref_rev), view)],
+                             order, term if encompass else None), None)
+    if hit is None:
         raise SideConditionError(
-            "%s does not match %s at position %r" % (lhs, term, pos))
-    if ref[0] == "eq":
-        lt, rt = apply_subst(sigma, lhs), apply_subst(sigma, rhs)
-        if not order.gt(lt, rt):
-            raise SideConditionError(
-                "equation instance %s == %s is not decreasing" % (lt, rt))
-    if encompass and not properly_encompasses(term, lhs):
-        raise SideConditionError(
-            "%s does not properly encompass %s "
-            "(encompassment condition)" % (term, lhs))
-    return replace_at(term, pos, apply_subst(sigma, rhs))
+            "%s -> %s does not rewrite %s at position %r (no match, an "
+            "equation instance that is not decreasing, or the encompassment "
+            "condition fails)" % (view.lhs, view.rhs, term, pos))
+    return replace_at(term, pos, hit[1])
 
 
 def _check_peak(state: RunState, eq: Equation, peak: Peak, ordered: bool,
@@ -344,9 +340,18 @@ class RunResult:
         return list(self.state.R)
 
 
+class _OutOfFuel(Exception):
+    """An inference was asked for after the fuel was used up."""
+
+
 class _Driver:
     """The engine loop of every calculus; :mod:`kbd.ordered` subclasses it
-    for the ordered rewrite relation of kbo and kbl."""
+    for the ordered rewrite relation of kbo and kbl.
+
+    Every inference goes through :meth:`emit`, the one place where fuel is
+    spent: asked for one more inference than the fuel allows, it raises
+    ``_OutOfFuel``, which :meth:`run` turns into an 'out-of-fuel' result.
+    The phases read the effect of each inference from the state."""
 
     def __init__(self, eqs, order: OrderSpec, variant: str,
                  fuel: Optional[int]):
@@ -367,10 +372,9 @@ class _Driver:
         self.e_union_views: list = []
         self.recorded: set = set()
 
-    def spent(self) -> bool:
-        return self.fuel is not None and len(self.trace) >= self.fuel
-
     def emit(self, inf: Inference):
+        if self.fuel is not None and len(self.trace) >= self.fuel:
+            raise _OutOfFuel
         apply_inference(self.state, inf, self.variant, self.order)
         self.trace.append(inf)
         if inf.kind in ("orient", "delete", "simplify"):
@@ -388,23 +392,21 @@ class _Driver:
         return key
 
     def step(self, term: Term, rules: list, encompass: bool,
-             eq_encompass: bool, skip_eq: Optional[Equation] = None):
+             eq_encompass: bool, skip: Optional[int] = None):
         """The leftmost-innermost step on ``term`` with one of the
         candidate ``rules``, or else, in a calculus with equation steps,
-        with a decreasing instance of an equation other than ``skip_eq``:
+        with a decreasing instance of an equation other than eq#skip:
         ``(pos, ref, result)`` or None.  The flags demand that ``term``
         properly encompass the rule's or the equation's side used."""
         hit = innermost_redex(term, rules, encompass=encompass)
         if hit is None and self.calculus.equation_steps:
-            E = self.state.E
-            skip = None if skip_eq is None else E.index(skip_eq)
-            hit = innermost_redex(term, _equation_views(E, skip), self.order,
-                                  eq_encompass)
+            hit = innermost_redex(term, _equation_views(self.state.E, skip),
+                                  self.order, eq_encompass)
         return hit
 
     def interreduce(self):
         """Collapse (and optionally compose) until no rule is reducible."""
-        while not self.spent():
+        while True:
             for m, rule in enumerate(self.state.R):
                 others = _rule_views(self.state.R, skip=m)
                 hit = self.step(rule.lhs, others, self.calculus.encompassing,
@@ -424,18 +426,20 @@ class _Driver:
                 return
 
     def simplify_to_normal_form(self, eq: Equation) -> Equation:
+        """Simplify ``eq`` in place in E, side by side, to its normal
+        form, which is returned."""
+        E = self.state.E
+        i = E.index(eq)
         rules = _rule_views(self.state.R)
         for side in ("lhs", "rhs"):
-            while not self.spent():
-                term = eq.lhs if side == "lhs" else eq.rhs
-                hit = self.step(term, rules, False, True, skip_eq=eq)
+            while True:
+                eq = E[i]
+                hit = self.step(getattr(eq, side), rules, False, True, i)
                 if hit is None:
                     break
-                pos, (ref, rev), result = hit
+                pos, (ref, rev), _ = hit
                 self.emit(Inference("simplify", equation=eq, side=side,
                                     pos=pos, ref=ref, ref_rev=rev))
-                eq = Equation(result, eq.rhs) if side == "lhs" \
-                    else Equation(eq.lhs, result)
         return eq
 
     def peak_views(self) -> list[tuple[tuple, RuleLike]]:
@@ -493,43 +497,38 @@ class _Driver:
                                                 eq.lhs, eq.rhs))]
 
     def run(self) -> RunResult:
-        while True:
-            if self.spent():
-                return RunResult("out-of-fuel", self.state, self.trace)
-            live = [e for e in self.state.E if e not in self.parked]
-            if not live:
-                gap = self.fairness_gap()
-                if gap:
+        state = self.state
+        try:
+            while True:
+                live = [e for e in state.E if e not in self.parked]
+                if not live:
+                    gap = self.fairness_gap()
+                    if not gap:
+                        break
                     for eq, peak in gap:
-                        if self.spent():
-                            break
-                        self.emit(Inference("deduce", equation=eq,
-                                            peak=peak))
+                        self.emit(Inference("deduce", equation=eq, peak=peak))
                     continue
-                if self.state.E and not self.calculus.ordered:
-                    return RunResult("fail", self.state, self.trace,
-                                     stuck=list(self.state.E))
-                return RunResult("success", self.state, self.trace)
-            eq = min(live, key=self.priority)
-            eq = self.simplify_to_normal_form(eq)
-            if self.spent():
-                continue
-            if eq.is_trivial():
-                self.emit(Inference("delete", equation=eq))
-                continue
-            oriented = self.order.orient(eq.lhs, eq.rhs)
-            if oriented is None:
-                self.parked.add(eq)
-                continue
-            rule = Rule(*oriented)
-            duplicate = any(pair_variants(rule, r) for r in self.state.R)
-            self.emit(Inference("orient", equation=eq,
-                                reverse=(oriented[0] == eq.rhs
-                                         and eq.lhs != eq.rhs)))
-            self.parked.clear()
-            if duplicate:
-                continue
-            self.interreduce()
+                eq = self.simplify_to_normal_form(min(live, key=self.priority))
+                if eq.is_trivial():
+                    self.emit(Inference("delete", equation=eq))
+                    continue
+                oriented = self.order.orient(eq.lhs, eq.rhs)
+                if oriented is None:
+                    self.parked.add(eq)
+                    continue
+                rules = len(state.R)
+                self.emit(Inference("orient", equation=eq,
+                                    reverse=(oriented[0] == eq.rhs
+                                             and eq.lhs != eq.rhs)))
+                self.parked.clear()
+                if len(state.R) > rules:
+                    # a new rule, not a variant of one in R
+                    self.interreduce()
+        except _OutOfFuel:
+            return RunResult("out-of-fuel", state, self.trace)
+        if state.E and not self.calculus.ordered:
+            return RunResult("fail", state, self.trace, stuck=list(state.E))
+        return RunResult("success", state, self.trace)
 
 
 def _step_sites(s: Term, t: Term) -> list[tuple[Term, Term]]:

@@ -26,6 +26,7 @@ terms: the word ``aba`` becomes ``a(b(a(x)))``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -37,44 +38,24 @@ class ParseError(ValueError):
     """Malformed problem file or trace."""
 
 
-def _located_tokens(text: str) -> list[tuple[str, int, int]]:
-    tokens: list[tuple[str, int, int]] = []
-    cur = ""
-    start = (1, 1)
-    line, col = 1, 1
-    for ch in text:
-        if ch in "(),":
-            if cur:
-                tokens.append((cur, *start))
-                cur = ""
-            tokens.append((ch, line, col))
-        elif ch.isspace():
-            if cur:
-                tokens.append((cur, *start))
-                cur = ""
-        else:
-            if not cur:
-                start = (line, col)
-            cur += ch
-        if ch == "\n":
-            line, col = line + 1, 1
-        else:
-            col += 1
-    if cur:
-        tokens.append((cur, *start))
-    return tokens
+_TOKEN = re.compile(r"[(),]|[^\s(),]+")
 
 
 class _Tokens:
-    def __init__(self, tokens: list[tuple[str, int, int]]):
-        self.tokens = tokens
+    """The tokens of ``text``: parentheses, commas and the maximal runs of
+    other non-blank characters, each with its offset in ``text``."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
         self.i = 0
 
     def here(self) -> str:
-        if self.i < len(self.tokens):
-            _, line, col = self.tokens[self.i]
-            return "line %d, column %d" % (line, col)
-        return "end of input"
+        """Where the token last read starts, as "line L, column C"."""
+        offset = self.tokens[self.i - 1][1]
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        return "line %d, column %d" % (self.text.count("\n", 0, offset) + 1,
+                                       offset - line_start + 1)
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -87,11 +68,10 @@ class _Tokens:
         return tok
 
     def expect(self, tok: str):
-        where = self.here()
         got = self.next()
         if got != tok:
             raise ParseError("expected %r but found %r at %s"
-                             % (tok, got, where))
+                             % (tok, got, self.here()))
 
     def done(self) -> bool:
         return self.i >= len(self.tokens)
@@ -101,10 +81,10 @@ _RESERVED = {"(", ")", ",", "->", "<-", "=="}
 
 
 def parse_term(ts: _Tokens, is_var: Callable[[str], bool]) -> Term:
-    where = ts.here()
     tok = ts.next()
     if tok in _RESERVED:
-        raise ParseError("expected a term but found %r at %s" % (tok, where))
+        raise ParseError("expected a term but found %r at %s"
+                         % (tok, ts.here()))
     if ts.peek() == "(":
         ts.next()
         args = [parse_term(ts, is_var)]
@@ -119,7 +99,7 @@ def parse_term(ts: _Tokens, is_var: Callable[[str], bool]) -> Term:
 
 
 def parse_term_string(text: str, var_names: Sequence[str]) -> Term:
-    ts = _Tokens(_located_tokens(text))
+    ts = _Tokens(text)
     names = set(var_names)
     t = parse_term(ts, lambda s: s in names)
     if not ts.done():
@@ -160,16 +140,20 @@ class ProblemFile:
         return Signature.of_terms(terms)
 
     def is_var(self, name: str) -> bool:
-        """Trace terms may carry primed or numbered copies of variables."""
-        base = name.rstrip("'")
-        return name in self.var_names or base in self.var_names or \
+        """Trace terms may carry primed or numbered copies of variables;
+        a function symbol of the problem is never read as one."""
+        if name in self.var_names:
+            return True
+        if name in self.signature().arities:
+            return False
+        return name.rstrip("'") in self.var_names or \
             (name[:1] == "x" and name[1:].isdigit())
 
 
 def parse_problem(text: str, string_mode: bool = False) -> ProblemFile:
     if string_mode:
         return _parse_string_problem(text)
-    ts = _Tokens(_located_tokens(text))
+    ts = _Tokens(text)
     pf = ProblemFile()
     names: set[str] = set()
     while not ts.done():
@@ -317,7 +301,7 @@ def _parse_ref(ts: _Tokens):
 
 
 def parse_inference(line: str, is_var: Callable[[str], bool]) -> Inference:
-    ts = _Tokens(_located_tokens(line))
+    ts = _Tokens(line)
     inf = _parse_step(ts, is_var)
     if not ts.done():
         raise ParseError("trailing input after the step: %r" % ts.peek())

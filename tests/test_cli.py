@@ -62,6 +62,27 @@ class TestComplete:
         assert out2.splitlines()[0] == "SUCCESS"
         assert sorted(out.splitlines()[1:]) == sorted(out2.splitlines()[1:])
 
+    @pytest.mark.parametrize("fuel, code, status", [
+        ("9", 2, "OUT-OF-FUEL"), ("10", 0, "SUCCESS"),
+    ])
+    def test_exact_fuel(self, capsys, fuel, code, status):
+        # the run takes 10 inferences: fuel 10 lets it finish
+        got, out, _ = run(capsys, "complete", fixture("strategy.es"),
+                          "--prec", "a>b>d,a>c>d", "--fuel", fuel)
+        assert (got, out.splitlines()[0]) == (code, status)
+
+    def test_replay_keeps_symbols_named_like_variables(self, capsys,
+                                                       tmp_path):
+        problem = tmp_path / "x1.es"
+        problem.write_text("(EQUATIONS f(x1) == a)\n")
+        trace = str(tmp_path / "x1.trace")
+        code, out, _ = run(capsys, "complete", str(problem), "--prec", "f>a",
+                           "--trace", trace)
+        assert code == 0 and "f(x1) -> a" in out
+        code2, out2, _ = run(capsys, "replay", str(problem), "--prec", "f>a",
+                             "--script", trace)
+        assert (code2, out2) == (code, out)
+
     def test_replay_bad_script_fails(self, capsys, tmp_path):
         script = tmp_path / "bad.txt"
         script.write_text("delete a == b\n")
@@ -95,6 +116,21 @@ class TestComplete:
                            "--script", str(script))
         assert code == 1
         assert out.startswith("FAIL (")
+
+    @pytest.mark.parametrize("text, prec, rule", [
+        ("bx == a\n", "x>b>a", "bx -> a"),
+        ("xx == x\n", None, "xx -> x"),
+    ], ids=["bx", "xx"])
+    def test_string_output_keeps_letter_x(self, capsys, tmp_path, text,
+                                          prec, rule):
+        problem = tmp_path / "p.str"
+        problem.write_text(text)
+        argv = ["complete", str(problem), "--string"]
+        if prec:
+            argv += ["--prec", prec]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == "SUCCESS\n(RULES\n  %s\n)\n" % rule
 
 
 class TestCompleteGround:

@@ -102,6 +102,21 @@ class TestApplyInference:
         assert state.R == [Rule(b, d)]
         assert state.E == [Equation(f(d), b)]
 
+    def test_simplify_needs_a_decreasing_equation_instance(self):
+        # g(x,y) == g(y,x) rewrites g(a,b) to g(b,a) only where that
+        # instance is decreasing
+        g = lambda s, t: Fun("g", (s, t))
+        inf = Inference("simplify", equation=Equation(g(a, b), c),
+                        side="lhs", pos=(), ref=("eq", 0))
+        state = RunState.start([Equation(g(x, y), g(y, x)),
+                                Equation(g(a, b), c)], [])
+        apply_inference(state, inf, "kbo", lpo([("a", "b")]))
+        assert state.E[1] == Equation(g(b, a), c)
+        state = RunState.start([Equation(g(x, y), g(y, x)),
+                                Equation(g(a, b), c)], [])
+        with pytest.raises(SideConditionError, match="not decreasing"):
+            apply_inference(state, inf, "kbo", lpo([("b", "a")]))
+
     def test_deduce_requires_peak(self):
         state = RunState.start([], [Rule(a, b)])
         with pytest.raises(SideConditionError):
@@ -292,6 +307,15 @@ class TestRunKbg:
         assert capped.status == "out-of-fuel"
         assert capped.trace == full.trace[:2]
         assert run_kbg(eqs, order, 0).trace == []
+
+    def test_exact_fuel_succeeds(self):
+        eqs = [Equation(f(f(a)), b), Equation(f(a), c), Equation(a, d)]
+        order = lpo([("f", "a"), ("a", "b"), ("b", "c"), ("c", "d")])
+        full = run_kbg(eqs, order)
+        exact = run_kbg(eqs, order, len(full.trace))
+        assert exact.status == "success"
+        assert exact.trace == full.trace
+        assert exact.rules == full.rules
 
     def test_kbg_stuck_without_deduce(self):
         # ground completion cannot proceed on the f(x) ≈ f(a) system,

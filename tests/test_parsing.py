@@ -176,6 +176,31 @@ class TestTraceGrammar:
         with pytest.raises(ParseError):
             parse_inference("frobnicate a == b", is_var)
 
+    @pytest.mark.parametrize("text, message", [
+        ("(EQUATIONS\n  a == )\n",
+         "expected a term but found ')' at line 2, column 8"),
+        ("(VAR x)\n(EQUATIONS\n\tf(x,\t== a)\n",
+         "expected a term but found '==' at line 3, column 7"),
+        ("(VAR x) (EQUATIONS\n  a == b) x",
+         "expected '(' but found 'x' at line 2, column 11"),
+        ("(EQUATIONS\n  f(a) == b\n", "unexpected end of input"),
+    ], ids=["missing-term", "tabs", "junk-after-section", "end-of-input"])
+    def test_problem_error_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_problem(text)
+        assert str(info.value) == message
+
+    def test_trace_error_messages(self):
+        with pytest.raises(ParseError) as info:
+            parse_trace("orient a -> b\n\nsimplify a == ( lhs at e with "
+                        "rule#0\n", is_var)
+        assert str(info.value) == \
+            "line 3: expected a term but found '(' at line 1, column 15"
+        with pytest.raises(ParseError) as info:
+            parse_term_string("f(x,)", ["x"])
+        assert str(info.value) == \
+            "expected a term but found ')' at line 1, column 5"
+
     def test_blank_and_comment_lines_skipped(self):
         text = "# header\n\norient a -> b\n"
         out = parse_trace(text, is_var)
