@@ -11,9 +11,11 @@ normal forms, and is unique up to renaming of variables.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
-from .terms import Rule, Term, pair_variants
+from .critical_pairs import dedup_pairs
+from .terms import Rule, Term, canonical_pair
 from .rewriting import Rules, is_normal_form, normalize
 
 
@@ -50,11 +52,7 @@ def rdot(rules: Rules, fuel: int = 10000) -> list[Rule]:
             raise RuntimeError("right-hand side of %s does not normalize "
                                "within %d steps" % (out[i], fuel))
         out[i] = Rule(out[i].lhs, rhs)
-    result: list[Rule] = []
-    for rule in out:
-        if not any(pair_variants(rule, r) for r in result):
-            result.append(rule)
-    return result
+    return dedup_pairs(out)
 
 
 def rddot(rules: Rules, fuel: int = 10000) -> list[Rule]:
@@ -74,18 +72,8 @@ def rddot(rules: Rules, fuel: int = 10000) -> list[Rule]:
 
 def trs_variants(r1: Rules, r2: Rules) -> bool:
     """Equality of rule sets up to renaming of variables in each rule."""
-    l1, l2 = list(r1), list(r2)
-    if len(l1) != len(l2):
-        return False
-    remaining = list(l2)
-    for rule in l1:
-        for other in remaining:
-            if pair_variants(rule, other):
-                remaining.remove(other)
-                break
-        else:
-            return False
-    return True
+    return Counter(map(canonical_pair, r1)) == \
+        Counter(map(canonical_pair, r2))
 
 
 def same_normal_forms(r1: Rules, r2: Rules, terms: Sequence[Term],

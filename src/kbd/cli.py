@@ -81,7 +81,7 @@ def parse_weights(text: Optional[str]) -> dict[str, int]:
         if not item:
             continue
         name, _, num = item.partition("=")
-        if not name or not num.lstrip("-").isdigit():
+        if not name or not num.removeprefix("-").isdecimal():
             raise CliError("bad weight entry %r" % item)
         out[name.strip()] = int(num)
     return out
@@ -131,7 +131,7 @@ def fuel_of(args) -> int:
         return args.fuel
     env = os.environ.get("KBD_FUEL")
     if env is not None:
-        if not env.isdigit():
+        if not env.isdecimal():
             raise CliError("KBD_FUEL must be a number, got %r" % env)
         return int(env)
     return 10000

@@ -100,9 +100,10 @@ class RunState:
 class Inference:
     """One completion inference.
 
-    ``ref`` names the rewrite rule or equation used by simplify, compose
-    and collapse: ``('rule', k)`` or ``('eq', j)`` with indices into the
-    current run state; ``ref_rev`` uses an equation right-to-left.
+    ``ref`` names the rewrite rule or oriented equation used by simplify,
+    compose and collapse as the step searches do: ``(('rule', k), False)``
+    or ``(('eq', j), rev)``, with indices into the current run state and
+    ``rev`` for an equation used right-to-left.
     ``peak`` names where a deduced equation comes from; a deduce without
     one is checked by a search for some peak that yields it.
     """
@@ -114,8 +115,7 @@ class Inference:
     side: Optional[str] = None     # simplify: 'lhs' or 'rhs'
     pos: Optional[Position] = None
     target: Optional[int] = None   # compose/collapse: rule index
-    ref: Optional[tuple[str, int]] = None
-    ref_rev: bool = False
+    ref: Optional[tuple[tuple[str, int], bool]] = None
     peak: Optional[Peak] = None
 
 
@@ -142,17 +142,15 @@ def _check_rule_index(state: RunState, k) -> Rule:
     return state.R[k]
 
 
-def _oriented(state: RunState, ref, ref_rev: bool,
-              allow_equations: bool) -> Equation:
+def _oriented(state: RunState, ref, allow_equations: bool) -> RuleLike:
     """The referenced rule, or equation read in the given direction."""
     if ref is None:
         raise SideConditionError("missing rule reference")
-    space, j = ref
+    (space, j), rev = ref
     if space == "rule":
-        rule = _check_rule_index(state, j)
-        if ref_rev:
+        if rev:
             raise SideConditionError("rules apply left-to-right only")
-        return Equation(rule.lhs, rule.rhs)
+        return _check_rule_index(state, j)
     if space == "eq":
         if not allow_equations:
             raise SideConditionError(
@@ -160,7 +158,7 @@ def _oriented(state: RunState, ref, ref_rev: bool,
         if not 0 <= j < len(state.E):
             raise SideConditionError("no equation #%s" % j)
         eq = state.E[j]
-        return eq.reversed() if ref_rev else eq
+        return eq.reversed() if rev else eq
     raise SideConditionError("bad reference %r" % (ref,))
 
 
@@ -172,7 +170,7 @@ def _subterm(term: Term, pos: Position) -> Term:
 
 
 def _rewrite_with_ref(state: RunState, term: Term, pos: Position,
-                      ref, ref_rev: bool, order: OrderSpec,
+                      ref, order: OrderSpec,
                       *, exclude_rule: Optional[int] = None,
                       allow_equations: bool = False,
                       encompass: bool = False) -> Term:
@@ -182,10 +180,10 @@ def _rewrite_with_ref(state: RunState, term: Term, pos: Position,
     that the whole ``term`` properly encompasses the (uninstantiated)
     left-hand side used.
     """
-    if ref is not None and ref[0] == "rule" and ref[1] == exclude_rule:
+    if ref is not None and ref[0] == ("rule", exclude_rule):
         raise SideConditionError("rule may not rewrite with itself")
-    view = _oriented(state, ref, ref_rev, allow_equations)
-    hit = next(_contractions(_subterm(term, pos), [((ref, ref_rev), view)],
+    view = _oriented(state, ref, allow_equations)
+    hit = next(_contractions(_subterm(term, pos), [(ref, view)],
                              order, term if encompass else None), None)
     if hit is None:
         raise SideConditionError(
@@ -203,8 +201,8 @@ def _check_peak(state: RunState, eq: Equation, peak: Peak, ordered: bool,
     way, and the overlap must meet the ordering conditions of extended
     critical pairs.
     """
-    outer = _oriented(state, *peak.outer, ordered)
-    inner = _oriented(state, *peak.inner, ordered)
+    outer = _oriented(state, peak.outer, ordered)
+    inner = _oriented(state, peak.inner, ordered)
     _subterm(outer.lhs, peak.pos)
     o = overlap_at(outer, inner, peak.pos, order if ordered else None)
     if o is None:
@@ -292,9 +290,9 @@ def apply_inference(state: RunState, inf: Inference, variant: str,
         # in ordered completion an equation instance may simplify, provided
         # the rewritten side properly encompasses the equation's lhs
         new_term = _rewrite_with_ref(
-            state, term, inf.pos or (), inf.ref, inf.ref_rev, order,
+            state, term, inf.pos or (), inf.ref, order,
             allow_equations=calc.equation_steps,
-            encompass=inf.ref is not None and inf.ref[0] == "eq")
+            encompass=inf.ref is not None and inf.ref[0][0] == "eq")
         new_eq = Equation(new_term, eq.rhs) if inf.side == "lhs" \
             else Equation(eq.lhs, new_term)
         state.E[i] = new_eq
@@ -304,7 +302,7 @@ def apply_inference(state: RunState, inf: Inference, variant: str,
     if kind == "compose":
         rule = _check_rule_index(state, inf.target)
         new_rhs = _rewrite_with_ref(
-            state, rule.rhs, inf.pos or (), inf.ref, inf.ref_rev, order,
+            state, rule.rhs, inf.pos or (), inf.ref, order,
             exclude_rule=inf.target, allow_equations=calc.equation_steps)
         state.R[inf.target] = Rule(rule.lhs, new_rhs)
         return
@@ -312,7 +310,7 @@ def apply_inference(state: RunState, inf: Inference, variant: str,
     if kind == "collapse":
         rule = _check_rule_index(state, inf.target)
         new_lhs = _rewrite_with_ref(
-            state, rule.lhs, inf.pos or (), inf.ref, inf.ref_rev, order,
+            state, rule.lhs, inf.pos or (), inf.ref, order,
             exclude_rule=inf.target, allow_equations=calc.equation_steps,
             encompass=calc.encompassing)
         del state.R[inf.target]
@@ -416,9 +414,8 @@ class _Driver:
                     hit = self.step(rule.rhs, others, False, False)
                     kind = "compose"
                 if hit is not None:
-                    pos, (ref, rev), _ = hit
-                    self.emit(Inference(kind, target=m, pos=pos, ref=ref,
-                                        ref_rev=rev))
+                    pos, ref, _ = hit
+                    self.emit(Inference(kind, target=m, pos=pos, ref=ref))
                     if kind == "collapse":
                         self.parked.clear()
                     break
@@ -437,9 +434,9 @@ class _Driver:
                 hit = self.step(getattr(eq, side), rules, False, True, i)
                 if hit is None:
                     break
-                pos, (ref, rev), _ = hit
+                pos, ref, _ = hit
                 self.emit(Inference("simplify", equation=eq, side=side,
-                                    pos=pos, ref=ref, ref_rev=rev))
+                                    pos=pos, ref=ref))
         return eq
 
     def peak_views(self) -> list[tuple[tuple, RuleLike]]:

@@ -185,8 +185,9 @@ def peak_pairs(views, order: Optional[OrderSpec] = None,
                     yield pair, Peak(oref, iref, pos)
 
 
-def dedup_pairs(eqs: Sequence[Equation]) -> list[Equation]:
-    """Drop equations that are variants (as ordered pairs) of earlier ones."""
+def dedup_pairs(eqs: Sequence[RuleLike]) -> list[RuleLike]:
+    """Drop equations or rules that are variants (as ordered pairs) of
+    earlier ones."""
     seen = set()
     out = []
     for eq in eqs:

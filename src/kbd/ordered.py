@@ -22,7 +22,7 @@ from .orders import OrderSpec
 from .rewriting import (_contractions, _equation_views, _rule_views, _steps,
                         normalize, ordered_normalize)
 from .terms import (Equation, Fun, Rule, RuleLike, Term, Var,
-                    canonical_terms, literally_similar, pair_variants,
+                    canonical_terms, literally_similar,
                     positions, properly_encompasses, replace_at, subterm_at,
                     variables)
 
@@ -169,11 +169,7 @@ def simplify_ground_complete(eqs: Sequence[Equation],
             if order.gt(l, r) and not isinstance(l, Var) and \
                     set(variables(r)) <= set(variables(l)):
                 q.append(Rule(l, r))
-    qdot = []
-    for rule in q:
-        cand = Rule(rule.lhs, nf(q, rule.rhs))
-        if not any(pair_variants(cand, other) for other in qdot):
-            qdot.append(cand)
+    qdot = dedup_pairs([Rule(rule.lhs, nf(q, rule.rhs)) for rule in q])
     new_rules = [rule for rule in qdot
                  if not encompass_reducible(eqs, rules, order, rule.lhs)]
     new_eqs = []

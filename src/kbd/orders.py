@@ -73,24 +73,6 @@ def lex_ext(gt: GtFn, xs: Sequence, ys: Sequence) -> bool:
     return len(xs) > len(ys)
 
 
-def mul_ext(gt: GtFn, xs: Sequence, ys: Sequence) -> bool:
-    """Multiset extension of a strict order.
-
-    After cancelling common elements, every remaining element of ``ys`` must
-    be dominated by some remaining element of ``xs``, and something must
-    remain on the left.
-    """
-    left = list(xs)
-    right = list(ys)
-    for x in list(left):
-        if x in right:
-            left.remove(x)
-            right.remove(x)
-    if not left:
-        return False
-    return all(any(gt(x, y) for x in left) for y in right)
-
-
 def lpo_gt(prec: Precedence, s: Term, t: Term) -> bool:
     """Lexicographic path order induced by a (possibly partial) precedence.
 
@@ -140,13 +122,13 @@ class KboWeights:
     w0: int = 1
     weights: dict[str, int] = field(default_factory=dict)
 
-    def of_symbol(self, f: str, arity: int) -> int:
+    def of_symbol(self, f: str) -> int:
         return self.weights.get(f, 1)
 
     def of_term(self, t: Term) -> int:
         if isinstance(t, Var):
             return self.w0
-        return self.of_symbol(t.symbol, len(t.args)) + \
+        return self.of_symbol(t.symbol) + \
             sum(self.of_term(a) for a in t.args)
 
 
@@ -159,7 +141,7 @@ def kbo_admissible(prec: Precedence, w: KboWeights,
         if wf < 0:
             return "symbol %s has negative weight %d" % (f, wf)
     for f, n in arities.items():
-        wf = w.of_symbol(f, n)
+        wf = w.of_symbol(f)
         if n == 0 and wf < w.w0:
             return "constant %s has weight %d < w0" % (f, wf)
         if n == 1 and wf == 0:

@@ -242,11 +242,11 @@ def parse_position(text: str) -> Position:
         raise ParseError("bad position %r" % text)
 
 
-def _format_ref(ref, ref_rev: bool) -> str:
-    space, k = ref
+def _format_ref(ref) -> str:
+    (space, k), rev = ref
     out = "%s#%d" % (space, k)
     if space == "eq":
-        out += " rev" if ref_rev else " fwd"
+        out += " rev" if rev else " fwd"
     return out
 
 
@@ -266,17 +266,17 @@ def format_inference(inf: Inference, variant: str = "kbf") -> str:
         if inf.peak is not None:
             outer, inner, pos = inf.peak
             out += " from %s %s at %s" % (
-                _format_ref(*outer), _format_ref(*inner),
+                _format_ref(outer), _format_ref(inner),
                 format_position(pos))
         return out
     if inf.kind == "simplify":
         return "simplify %s %s at %s with %s" % (
             inf.equation, inf.side, format_position(inf.pos or ()),
-            _format_ref(inf.ref, inf.ref_rev))
+            _format_ref(inf.ref))
     if inf.kind in ("compose", "collapse"):
         return "%s rule#%d at %s with %s" % (
             inf.kind, inf.target, format_position(inf.pos or ()),
-            _format_ref(inf.ref, inf.ref_rev))
+            _format_ref(inf.ref))
     raise ValueError("cannot format inference %r" % (inf,))
 
 
@@ -289,7 +289,7 @@ def _parse_ref(ts: _Tokens):
     if "#" not in tok:
         raise ParseError("expected rule#k or eq#k, found %r" % tok)
     space, _, num = tok.partition("#")
-    if space not in ("rule", "eq") or not num.isdigit():
+    if space not in ("rule", "eq") or not num.isdecimal():
         raise ParseError("bad reference %r" % tok)
     rev = False
     if space == "eq":
@@ -342,19 +342,16 @@ def _parse_step(ts: _Tokens, is_var: Callable[[str], bool]) -> Inference:
         ts.expect("at")
         pos = parse_position(ts.next())
         ts.expect("with")
-        ref, rev = _parse_ref(ts)
         return Inference("simplify", equation=Equation(lhs, rhs), side=side,
-                         pos=pos, ref=ref, ref_rev=rev)
+                         pos=pos, ref=_parse_ref(ts))
     if kind in ("compose", "collapse"):
-        tok = ts.next()
-        if not tok.startswith("rule#") or not tok[5:].isdigit():
+        (space, target), _ = _parse_ref(ts)
+        if space != "rule":
             raise ParseError("%s needs a rule#k target" % kind)
-        target = int(tok[5:])
         ts.expect("at")
         pos = parse_position(ts.next())
         ts.expect("with")
-        ref, rev = _parse_ref(ts)
-        return Inference(kind, target=target, pos=pos, ref=ref, ref_rev=rev)
+        return Inference(kind, target=target, pos=pos, ref=_parse_ref(ts))
     raise ParseError("unknown inference %r" % kind)
 
 

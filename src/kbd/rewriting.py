@@ -20,7 +20,6 @@ fuel yields ``None`` (a "maybe" answer), never an exception.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .orders import OrderSpec
@@ -31,17 +30,7 @@ from .terms import (Equation, Fun, Position, Rule, Term, Var, apply_subst,
 
 Rules = Sequence[Rule]
 Eqns = Sequence[Equation]
-
-
-@dataclass(frozen=True)
-class StepReport:
-    """One rewrite step: where it happened, with what, and the result."""
-
-    position: Position
-    index: int
-    result: Term
-    is_equation: bool = False
-    oriented_from_rhs: bool = False
+Step = tuple[Position, tuple, Term]  # (pos, ref, result), as _steps yields
 
 
 def _rule_views(rules: Rules, skip: Optional[int] = None) -> list:
@@ -118,23 +107,9 @@ def innermost_redex(t: Term, candidates, order: Optional[OrderSpec] = None,
     return _redex(t, candidates, order, t if encompass else None)
 
 
-def _report(hit) -> Optional[StepReport]:
-    if hit is None:
-        return None
-    pos, ((space, index), rev), result = hit
-    return StepReport(pos, index, result, space == "eq", rev)
-
-
-def step_at(rules: Rules, t: Term, pos: Position) -> Optional[StepReport]:
-    """First rule (in order) applicable to ``t`` at ``pos``."""
-    hit = next(_contractions(subterm_at(t, pos), _rule_views(rules)), None)
-    return None if hit is None else \
-        StepReport(pos, hit[0][0][1], replace_at(t, pos, hit[1]))
-
-
-def rewrite_step(rules: Rules, t: Term) -> Optional[StepReport]:
+def rewrite_step(rules: Rules, t: Term) -> Optional[Step]:
     """Leftmost-innermost rewrite step, or None if ``t`` is a normal form."""
-    return _report(innermost_redex(t, _rule_views(rules)))
+    return innermost_redex(t, _rule_views(rules))
 
 
 def is_normal_form(rules: Rules, t: Term) -> bool:
@@ -191,9 +166,9 @@ def normalize(rules: Rules, t: Term, fuel: int = 1000) -> Optional[Term]:
     return None if nf is None else nf[0]
 
 
-def all_steps(rules: Rules, t: Term) -> list[StepReport]:
+def all_steps(rules: Rules, t: Term) -> list[Step]:
     """Every one-step successor of ``t``: all positions, all rules."""
-    return [_report(hit) for hit in _steps(t, _rule_views(rules))]
+    return list(_steps(t, _rule_views(rules)))
 
 
 def joinable(rules: Rules, s: Term, t: Term, fuel: int = 1000) -> Optional[bool]:
@@ -218,24 +193,24 @@ def joinable(rules: Rules, s: Term, t: Term, fuel: int = 1000) -> Optional[bool]
             if not frontier:
                 continue
             u = frontier.popleft()
-            for rep in all_steps(rules, u):
+            for _, _, v in all_steps(rules, u):
                 budget -= 1
                 if budget < 0:
                     return None
-                if rep.result in other:
+                if v in other:
                     return True
-                if rep.result not in seen:
-                    seen.add(rep.result)
-                    frontier.append(rep.result)
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
     return False
 
 
 def ordered_step(eqs: Eqns, rules: Rules, order: Optional[OrderSpec],
-                 t: Term) -> Optional[StepReport]:
+                 t: Term) -> Optional[Step]:
     """Leftmost-innermost step of the rewrite relation R ∪ E-oriented;
     with no equations this is :func:`rewrite_step`."""
-    return _report(innermost_redex(
-        t, _rule_views(rules) + _equation_views(eqs), order))
+    return innermost_redex(t, _rule_views(rules) + _equation_views(eqs),
+                           order)
 
 
 def ordered_normalize(eqs: Eqns, rules: Rules, order: OrderSpec, t: Term,

@@ -407,12 +407,5 @@ class Signature:
                         "symbol %s used with arities %d and %d"
                         % (u.symbol, known, len(u.args)))
 
-    def check(self, t: Term) -> bool:
-        for u in subterms(t):
-            if isinstance(u, Fun):
-                if self.arities.get(u.symbol) != len(u.args):
-                    return False
-        return True
-
     def symbols(self) -> list[str]:
         return sorted(self.arities)

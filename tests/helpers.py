@@ -154,7 +154,7 @@ def random_orientable_trs(rng, sig, var_names, n=3, depth=2,
 def brute_force_confluent(rules, terms, fuel=500):
     """Check joinability of every one-step peak from the given terms."""
     for t in terms:
-        reducts = [rep.result for rep in all_steps(rules, t)]
+        reducts = [v for _, _, v in all_steps(rules, t)]
         for i, u in enumerate(reducts):
             for v in reducts[i + 1:]:
                 verdict = joinable(rules, u, v, fuel)

@@ -184,7 +184,7 @@ def test_07_braid_divergence_and_encompassment(capsys):
     rules = [Rule(word_term("aba"), word_term("ab")),
              Rule(word_term("bb"), word_term("b")),
              Rule(word_term("aba", "z"), word_term("abb", "z"))]
-    inf = Inference("collapse", target=0, pos=(), ref=("rule", 2))
+    inf = Inference("collapse", target=0, pos=(), ref=(("rule", 2), False))
     state = RunState.start([], rules)
     apply_inference(state, inf, "kbf", order)
     assert state.E == [Equation(word_term("abb"), word_term("ab"))]
@@ -205,7 +205,7 @@ def test_08_random_descent(rng):
         def seq_lengths(t):
             if t in lengths:
                 return lengths[t]
-            succ = [rep.result for rep in all_steps(R, t)]
+            succ = [v for _, _, v in all_steps(R, t)]
             out = {0} if not succ else \
                 {1 + n for s in succ for n in seq_lengths(s)}
             lengths[t] = out
@@ -213,13 +213,13 @@ def test_08_random_descent(rng):
 
         for t in terms:
             assert len(seq_lengths(t)) == 1
-            succ = [rep.result for rep in all_steps(R, t)]
+            succ = [v for _, _, v in all_steps(R, t)]
             for i, u in enumerate(succ):
                 for v in succ[i + 1:]:
                     if u == v:
                         continue
-                    ru = {u} | {rep.result for rep in all_steps(R, u)}
-                    rv = {v} | {rep.result for rep in all_steps(R, v)}
+                    ru = {u} | {w for _, _, w in all_steps(R, u)}
+                    rv = {v} | {w for _, _, w in all_steps(R, v)}
                     assert ru & rv
 
 

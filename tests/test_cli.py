@@ -459,3 +459,35 @@ class TestErrorsAndEnvironment:
         code, _, err = run(capsys, "complete", fixture("strategy.es"),
                            "--prec", "a>b>d,a>c>d")
         assert code == 3
+
+    STRATEGY = (fixture("strategy.es"), "--prec", "a>b>d,a>c>d")
+
+    @pytest.mark.parametrize("argv, fuel, script", [
+        (("complete",) + STRATEGY + ("--order", "kbo", "--weights", "f=²"),
+         None, None),
+        (("complete",) + STRATEGY + ("--order", "kbo", "--weights",
+                                     "f=--3"), None, None),
+        (("replay",) + STRATEGY, None, "compose rule#² at e with rule#0"),
+        (("replay",) + STRATEGY, None,
+         "simplify a == b lhs at e with rule#²"),
+        (("reduce", fixture("metivier.trs")), "²", None),
+        (("check-confluence", fixture("metivier.trs")), "²", None),
+        (("decide", fixture("ground.es"), "--prec", "a>b>c>f",
+          "f(f(b)) == a"), "²", None),
+        (("complete",) + STRATEGY, "²", None),
+    ], ids=["weight-superscript", "weight-double-minus", "compose-target",
+            "simplify-ref", "fuel-reduce", "fuel-check-confluence",
+            "fuel-decide", "fuel-complete"])
+    def test_malformed_number_is_a_usage_error(self, capsys, monkeypatch,
+                                               tmp_path, argv, fuel, script):
+        # str.isdigit accepts "²", which int() rejects
+        if fuel is not None:
+            monkeypatch.setenv("KBD_FUEL", fuel)
+        if script is not None:
+            path = tmp_path / "trace.txt"
+            path.write_text(script + "\n")
+            argv += ("--script", str(path))
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1

@@ -83,21 +83,22 @@ class TestApplyInference:
         state = RunState.start([Equation(f(a), d)], [Rule(a, b)])
         apply_inference(state,
                         Inference("simplify", equation=Equation(f(a), d),
-                                  side="lhs", pos=(1,), ref=("rule", 0)),
+                                  side="lhs", pos=(1,),
+                                  ref=(("rule", 0), False)),
                         "kbf", lpo([]))
         assert state.E == [Equation(f(b), d)]
 
     def test_compose(self):
         state = RunState.start([], [Rule(a, b), Rule(b, c)])
         apply_inference(state, Inference("compose", target=0, pos=(),
-                                         ref=("rule", 1)),
+                                         ref=(("rule", 1), False)),
                         "kbf", lpo([]))
         assert state.R[0] == Rule(a, c)
 
     def test_collapse_plain_kbf(self):
         state = RunState.start([], [Rule(f(b), b), Rule(b, d)])
         apply_inference(state, Inference("collapse", target=0, pos=(1,),
-                                         ref=("rule", 1)),
+                                         ref=(("rule", 1), False)),
                         "kbf", lpo([]))
         assert state.R == [Rule(b, d)]
         assert state.E == [Equation(f(d), b)]
@@ -107,7 +108,7 @@ class TestApplyInference:
         # instance is decreasing
         g = lambda s, t: Fun("g", (s, t))
         inf = Inference("simplify", equation=Equation(g(a, b), c),
-                        side="lhs", pos=(), ref=("eq", 0))
+                        side="lhs", pos=(), ref=(("eq", 0), False))
         state = RunState.start([Equation(g(x, y), g(y, x)),
                                 Equation(g(a, b), c)], [])
         apply_inference(state, inf, "kbo", lpo([("a", "b")]))
@@ -171,13 +172,13 @@ class TestEncompassmentCollapse:
 
     def test_kbf_allows_variant_collapse(self):
         state, ab, abb = self.setup_state()
-        inf = Inference("collapse", target=0, pos=(), ref=("rule", 2))
+        inf = Inference("collapse", target=0, pos=(), ref=(("rule", 2), False))
         apply_inference(state, inf, "kbf", lpo([("a", "b")]))
         assert state.E == [Equation(abb, ab)]
 
     def test_kbi_rejects_variant_collapse(self):
         state, _, _ = self.setup_state()
-        inf = Inference("collapse", target=0, pos=(), ref=("rule", 2))
+        inf = Inference("collapse", target=0, pos=(), ref=(("rule", 2), False))
         with pytest.raises(SideConditionError, match="encompass"):
             apply_inference(state, inf, "kbi", lpo([("a", "b")]))
 
@@ -185,7 +186,8 @@ class TestEncompassmentCollapse:
         # collapsing below the root is fine: the left-hand side properly
         # encompasses the smaller rule
         state = RunState.start([], [Rule(f(f(a)), b), Rule(a, b)])
-        inf = Inference("collapse", target=0, pos=(1, 1), ref=("rule", 1))
+        inf = Inference("collapse", target=0, pos=(1, 1),
+                        ref=(("rule", 1), False))
         apply_inference(state, inf, "kbi", lpo([("a", "b")]))
         assert state.E == [Equation(f(f(b)), b)]
 
@@ -195,17 +197,17 @@ def scripted_success():
         Inference("orient", equation=Equation(a, b)),
         Inference("orient", equation=Equation(f(b), b)),
         Inference("simplify", equation=Equation(a, c), side="lhs", pos=(),
-                  ref=("rule", 0)),
+                  ref=(("rule", 0), False)),
         Inference("simplify", equation=Equation(f(a), d), side="lhs",
-                  pos=(1,), ref=("rule", 0)),
+                  pos=(1,), ref=(("rule", 0), False)),
         Inference("simplify", equation=Equation(f(b), d), side="lhs",
-                  pos=(), ref=("rule", 1)),
+                  pos=(), ref=(("rule", 1), False)),
         Inference("orient", equation=Equation(b, d)),
-        Inference("collapse", target=1, pos=(1,), ref=("rule", 2)),
+        Inference("collapse", target=1, pos=(1,), ref=(("rule", 2), False)),
         Inference("simplify", equation=Equation(b, c), side="lhs", pos=(),
-                  ref=("rule", 1)),
+                  ref=(("rule", 1), False)),
         Inference("simplify", equation=Equation(f(d), b), side="rhs",
-                  pos=(), ref=("rule", 1)),
+                  pos=(), ref=(("rule", 1), False)),
         Inference("orient", equation=Equation(d, c), reverse=True),
         Inference("orient", equation=Equation(f(d), d)),
     ]
@@ -215,9 +217,9 @@ def scripted_failure():
     return [
         Inference("orient", equation=Equation(a, c)),
         Inference("simplify", equation=Equation(a, b), side="lhs", pos=(),
-                  ref=("rule", 0)),
+                  ref=(("rule", 0), False)),
         Inference("simplify", equation=Equation(f(a), d), side="lhs",
-                  pos=(1,), ref=("rule", 0)),
+                  pos=(1,), ref=(("rule", 0), False)),
         Inference("orient", equation=Equation(f(b), b)),
         Inference("orient", equation=Equation(f(c), d)),
     ]

@@ -102,20 +102,20 @@ def okb1_script():
         Inference("simplify",
                   equation=Equation(times(one, plus(neg(z), z)),
                                     plus(x, neg(x))),
-                  side="lhs", pos=(), ref=("rule", 0)),
+                  side="lhs", pos=(), ref=(("rule", 0), False)),
         Inference("orient", equation=Equation(zero, plus(x, neg(x))),
                   reverse=True),
         Inference("simplify", equation=e3, side="rhs", pos=(),
-                  ref=("rule", 2)),
-        Inference("compose", target=1, pos=(), ref=("rule", 2)),
-        Inference("collapse", target=1, pos=(2,), ref=("rule", 2)),
+                  ref=(("rule", 2), False)),
+        Inference("compose", target=1, pos=(), ref=(("rule", 2), False)),
+        Inference("collapse", target=1, pos=(2,), ref=(("rule", 2), False)),
         Inference("orient",
                   equation=Equation(times(one, zero), zero)),
         Inference("orient", equation=Equation(plus(neg(x), x), zero)),
-        Inference("collapse", target=0, pos=(2,), ref=("rule", 3)),
+        Inference("collapse", target=0, pos=(2,), ref=(("rule", 3), False)),
         Inference("simplify",
                   equation=Equation(times(one, zero), zero),
-                  side="lhs", pos=(), ref=("rule", 1)),
+                  side="lhs", pos=(), ref=(("rule", 1), False)),
         Inference("delete", equation=Equation(zero, zero)),
     ]
 
@@ -126,15 +126,15 @@ def okb2_script():
         Inference("orient", equation=Equation(g(f(b), x), g(x, b))),
         Inference("deduce", equation=Equation(f(b), f(a))),
         Inference("simplify", equation=Equation(f(b), f(a)),
-                  side="lhs", pos=(), ref=("rule", 0)),
+                  side="lhs", pos=(), ref=(("rule", 0), False)),
         Inference("orient", equation=Equation(b, f(a)), reverse=True),
         Inference("simplify", equation=Equation(f(x), f(a)),
-                  side="rhs", pos=(), ref=("rule", 2)),
+                  side="rhs", pos=(), ref=(("rule", 2), False)),
         Inference("orient", equation=Equation(f(x), b)),
-        Inference("collapse", target=0, pos=(), ref=("rule", 3)),
+        Inference("collapse", target=0, pos=(), ref=(("rule", 3), False)),
         Inference("delete", equation=Equation(b, b)),
-        Inference("collapse", target=0, pos=(1,), ref=("rule", 2)),
-        Inference("collapse", target=0, pos=(), ref=("rule", 1)),
+        Inference("collapse", target=0, pos=(1,), ref=(("rule", 2), False)),
+        Inference("collapse", target=0, pos=(), ref=(("rule", 1), False)),
         Inference("delete", equation=Equation(b, b)),
     ]
 

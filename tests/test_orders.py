@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from kbd.orders import (InadmissibleOrder, KboWeights, OrderSpec, Precedence,
                         ground_derived_gt, kbo_admissible, kbo_gt, lex_ext,
-                        lpo_gt, mul_ext)
+                        lpo_gt)
 from kbd.terms import Fun, Rule, Var
 
 from helpers import memo_lpo_gt, random_term
@@ -53,12 +53,6 @@ class TestExtensions:
         gt = lambda p, q: False
         assert lex_ext(gt, ("a", "b"), ("a",))
         assert not lex_ext(gt, ("a",), ("a", "b"))
-
-    def test_mul_ext(self):
-        gt = lambda p, q: p > q
-        assert mul_ext(gt, [3, 1], [2, 2, 1])
-        assert not mul_ext(gt, [2, 2, 1], [3, 1])
-        assert not mul_ext(gt, [1, 2], [2, 1])
 
 
 class TestLpo:

@@ -125,11 +125,11 @@ class TestTraceGrammar:
         Inference("deduce", equation=Equation(a, b),
                   peak=Peak((("eq", 1), True), (("rule", 0), False), ())),
         Inference("simplify", equation=Equation(Fun("f", (a,)), b),
-                  side="lhs", pos=(1,), ref=("rule", 0)),
+                  side="lhs", pos=(1,), ref=(("rule", 0), False)),
         Inference("simplify", equation=Equation(a, b), side="rhs", pos=(),
-                  ref=("eq", 2), ref_rev=True),
-        Inference("compose", target=1, pos=(2, 1), ref=("rule", 0)),
-        Inference("collapse", target=0, pos=(), ref=("eq", 1)),
+                  ref=(("eq", 2), True)),
+        Inference("compose", target=1, pos=(2, 1), ref=(("rule", 0), False)),
+        Inference("collapse", target=0, pos=(), ref=(("eq", 1), False)),
     ]
 
     def test_roundtrip(self):

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 from kbd.cli import parse_precedence
 from kbd.completion import (Inference, Peak, RunState, SideConditionError,
-                            _Driver, apply_inference, replay, run_kbf,
-                            run_kbi, single_step_connects)
+                            _Driver, apply_inference, is_linear, replay,
+                            run_kbf, run_kbg, run_kbi, single_step_connects)
 from kbd.ordered import _OrderedDriver, run_kbl, run_kbo
-from kbd.orders import KboWeights, OrderSpec
-from kbd.parsing import format_trace, parse_problem, parse_trace
+from kbd.orders import KboWeights, OrderSpec, Precedence
+from kbd.parsing import ProblemFile, format_trace, parse_problem, parse_trace
 from kbd.rewriting import _equation_views, normalize, ordered_normalize
 from kbd.terms import (Equation, Fun, Rule, Var, apply_subst, match,
                        pair_variants, positions, replace_at, subterm_at)
@@ -174,12 +174,17 @@ def old_single_step_connects(eqs, s, t):
     return False
 
 
-LEAVES = st.sampled_from([Var("x"), Var("y"), Fun("a"), Fun("b")])
-TERMS = st.recursive(
-    LEAVES, lambda kids: st.one_of(
-        st.builds(lambda s: Fun("g", (s,)), kids),
-        st.builds(lambda s, t: Fun("f", (s, t)), kids, kids)),
-    max_leaves=6)
+def terms_over(leaves):
+    """Terms over ``leaves``, unary ``g`` and binary ``f``."""
+    return st.recursive(
+        st.sampled_from(leaves), lambda kids: st.one_of(
+            st.builds(lambda s: Fun("g", (s,)), kids),
+            st.builds(lambda s, t: Fun("f", (s, t)), kids, kids)),
+        max_leaves=6)
+
+
+TERMS = terms_over([Var("x"), Var("y"), Fun("a"), Fun("b")])
+GROUND_TERMS = terms_over([Fun("a"), Fun("b")])
 
 
 @settings(max_examples=200, deadline=None)
@@ -198,6 +203,41 @@ def test_single_step_connects_matches_full_scan(eqs, s, data):
     t = data.draw(st.one_of(*choices))
     assert single_step_connects(_equation_views(eqs), s, t) == \
         old_single_step_connects(eqs, s, t)
+
+
+EQUATION = st.builds(Equation, TERMS, TERMS)
+# each calculus's engine and the input equations it accepts
+RANDOM_RUNS = {
+    "kbf": (run_kbf, EQUATION),
+    "kbg": (run_kbg, st.builds(Equation, GROUND_TERMS, GROUND_TERMS)),
+    "kbi": (run_kbi, EQUATION),
+    "kbo": (run_kbo, EQUATION),
+    "kbl": (run_kbl, EQUATION.filter(
+        lambda e: is_linear(e.lhs) and is_linear(e.rhs))),
+}
+
+
+@pytest.mark.parametrize("variant", list(RANDOM_RUNS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), prec=st.permutations(["f", "g", "a", "b"]),
+       fuel=st.integers(0, 20))
+def test_random_engine_trace_roundtrips_and_replays(variant, data, prec,
+                                                    fuel):
+    """On small random equation sets under a random total LPO, each
+    engine's trace reads back as itself and replays to the run's E and R
+    under the engine's own calculus."""
+    engine, equation = RANDOM_RUNS[variant]
+    eqs = data.draw(st.lists(equation, min_size=1, max_size=3))
+    order = OrderSpec("lpo", Precedence.total(prec))
+    result = engine(eqs, order, fuel)
+    is_var = ProblemFile(["x", "y"], equations=eqs).is_var
+    script = parse_trace(format_trace(result.trace, variant), is_var)
+    assert len(script) == len(result.trace)
+    for parsed, inf in zip(script, result.trace):
+        assert parsed == inf
+    state = replay(eqs, [], script, variant, order)
+    assert state.R == result.state.R
+    assert state.E == result.state.E
 
 
 def plain_reference_gap(driver):

@@ -7,7 +7,7 @@ from kbd.orders import OrderSpec, Precedence
 from kbd.rewriting import (_equation_views, _normal_form, _rule_views,
                            all_steps, conversion_oracle, is_normal_form,
                            joinable, normalize, ordered_normalize,
-                           ordered_step, rewrite_step, step_at)
+                           ordered_step, rewrite_step)
 from kbd.terms import (Equation, Fun, Rule, Var, apply_subst, match,
                        positions, postorder_positions, replace_at, same,
                        size, subterm_at, variables)
@@ -39,37 +39,32 @@ def word(w, tail=x):
 
 class TestStep:
     def test_innermost_first(self):
-        rep = rewrite_step(GROUND5, Fun("f", (fb,)))
-        assert rep.position == (1,)
-        assert rep.result == fc
+        pos, _, result = rewrite_step(GROUND5, Fun("f", (fb,)))
+        assert pos == (1,)
+        assert result == fc
 
     def test_leftmost_of_parallel(self):
         rules = [Rule(a, b)]
-        rep = rewrite_step(rules, f(a, a))
-        assert rep.position == (1,)
+        pos, _, _ = rewrite_step(rules, f(a, a))
+        assert pos == (1,)
 
     def test_inner_before_outer(self):
         rules = [Rule(a, b), Rule(f(a), c)]
-        rep = rewrite_step(rules, f(a))
-        assert rep.position == (1,) and rep.result == f(b)
+        pos, _, result = rewrite_step(rules, f(a))
+        assert pos == (1,) and result == f(b)
 
     def test_normal_form_has_no_step(self):
         assert rewrite_step(GROUND5, c) is None
         assert is_normal_form(GROUND5, c)
 
     def test_nonterminating_rule_steps(self):
-        rep = rewrite_step([Rule(a, a)], a)
-        assert rep.position == () and rep.result == a
-
-    def test_step_at(self):
-        rep = step_at(GROUND5, Fun("f", (fb,)), (1,))
-        assert rep.result == fc
-        assert step_at(GROUND5, Fun("f", (fb,)), ()) is None
+        assert rewrite_step([Rule(a, a)], a) == \
+            ((), (("rule", 0), False), a)
 
     def test_all_steps(self):
         rules = [Rule(f(a), b), Rule(f(a), c), Rule(a, a)]
-        reps = all_steps(rules, f(a))
-        results = {(r.position, str(r.result)) for r in reps}
+        results = {(pos, str(result))
+                   for pos, _, result in all_steps(rules, f(a))}
         assert results == {((), "b"), ((), "c"), ((1,), "f(a)")}
 
 
@@ -119,9 +114,8 @@ class TestOrderedRewriting:
         return OrderSpec("lpo", Precedence.total(["b", "a", "+"]))
 
     def test_decreasing_instance(self):
-        rep = ordered_step(self.COMM, [], self.order(), plus(b, a))
-        assert rep is not None
-        assert rep.result == plus(a, b)
+        hit = ordered_step(self.COMM, [], self.order(), plus(b, a))
+        assert hit == ((), (("eq", 0), False), plus(a, b))
 
     def test_no_step_on_smaller_side(self):
         assert ordered_step(self.COMM, [], self.order(), plus(a, b)) is None
@@ -136,13 +130,13 @@ class TestOrderedRewriting:
 
     def test_rules_apply_too(self):
         rules = [Rule(a, b)]
-        rep = ordered_step(self.COMM, rules, self.order(), a)
-        assert rep.result == b
+        _, _, result = ordered_step(self.COMM, rules, self.order(), a)
+        assert result == b
 
     def test_rules_before_equations_at_one_position(self):
         rules = [Rule(plus(b, a), a)]
-        rep = ordered_step(self.COMM, rules, self.order(), plus(b, a))
-        assert rep.result == a and not rep.is_equation
+        hit = ordered_step(self.COMM, rules, self.order(), plus(b, a))
+        assert hit == ((), (("rule", 0), False), a)
 
 
 class TestConversionOracle:
@@ -223,21 +217,18 @@ def scan(t, candidates, order=None):
     return None
 
 
-def as_tuple(report):
-    if report is None:
+def as_tuple(hit):
+    if hit is None:
         return None
-    return (report.position, report.index, report.result,
-            report.is_equation, report.oriented_from_rhs)
+    pos, ((space, index), rev), result = hit
+    return (pos, index, result, space == "eq", rev)
 
 
 @settings(max_examples=300, deadline=None)
 @given(rules=RULES, t=TERMS)
 def test_rewrite_step_is_the_first_step_of_a_scan(rules, t):
-    candidates = scan_candidates(rules)
-    assert as_tuple(rewrite_step(rules, t)) == scan(t, candidates)
-    for pos in positions(t):
-        assert as_tuple(step_at(rules, t, pos)) == \
-            scan_at(t, pos, candidates)
+    assert as_tuple(rewrite_step(rules, t)) == \
+        scan(t, scan_candidates(rules))
 
 
 @settings(max_examples=300, deadline=None)
@@ -259,10 +250,9 @@ def full_scan(t, sides):
 @settings(max_examples=300, deadline=None)
 @given(rules=RULES, t=TERMS)
 def test_all_steps_is_a_full_scan(rules, t):
-    reports = all_steps(rules, t)
-    assert not any(rep.is_equation or rep.oriented_from_rhs
-                   for rep in reports)
-    assert [(rep.position, rep.index, rep.result) for rep in reports] == \
+    hits = all_steps(rules, t)
+    assert all(ref == (("rule", ref[0][1]), False) for _, ref, _ in hits)
+    assert [(pos, ref[0][1], result) for pos, ref, result in hits] == \
         full_scan(t, [(rule.lhs, rule.rhs) for rule in rules])
 
 

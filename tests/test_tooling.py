@@ -1,15 +1,23 @@
-"""Source hygiene: no module of ``src/kbd`` imports a name it never uses.
+"""Source hygiene: no module of ``src/kbd`` imports a name it never uses,
+and the bench tracer's wrappers still find what they wrap in kbd.
 
-``__init__.py`` is left out, as its imports are the package's exports.
+``__init__.py`` is left out of the import check, as its imports are the
+package's exports.
 """
 
 import ast
 import glob
+import importlib
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "kbd")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SRC = os.path.join(ROOT, "src", "kbd")
+BENCH = os.path.join(ROOT, "bench")
 MODULES = sorted(path for path in glob.glob(os.path.join(SRC, "*.py"))
                  if os.path.basename(path) != "__init__.py")
 
@@ -45,3 +53,54 @@ def test_unused_import_is_reported():
     source = "import os\nfrom typing import Optional, Sequence\n" \
              "def f(x: Optional[int]): return os.sep\n"
     assert unused_imports(source) == ["Sequence (line 2)"]
+
+
+# Installing the tracer patches kbd in the whole interpreter, so a fresh
+# one installs it, runs one traced completion and reports the names that
+# the tracer's hooks and bench/run.py's per-layer times refer to.
+TRACED_RUN = """
+import json, sys
+import kbd.cli
+from run import PER_LAYER_TIMES
+from tracer import DRIVER_PHASES, Tracer
+tracer = Tracer()
+names = sorted(set(tracer.hooks) | set(PER_LAYER_TIMES.values()))
+tracer.install()
+code = kbd.cli.entry(["complete", sys.argv[1], "--prec", "a>b>d,a>c>d",
+                      "--trace", sys.argv[2]])
+print(json.dumps({"code": code, "names": names, "phases": DRIVER_PHASES,
+                  "inferences": tracer.counts["completion.inferences"]}))
+"""
+
+# hook names that no longer name anything in kbd; this set may only shrink
+STALE = {"critical_pairs.overlaps", "critical_pairs.critical_peaks",
+         "critical_pairs.extended_overlaps"}
+
+
+def resolves(name: str, phases) -> bool:
+    """Does ``layer.attr`` name a function of ``kbd.layer``, a driver
+    phase or an ``OrderSpec`` method, as ``Tracer.install`` wraps them?"""
+    layer, attr = name.split(".", 1)
+    mod = importlib.import_module("kbd." + layer)
+    return hasattr(mod, attr) or \
+        layer == "completion" and attr in phases and \
+        hasattr(mod._Driver, attr) or \
+        layer == "orders" and hasattr(mod.OrderSpec, attr)
+
+
+def test_bench_tracer_installs(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), BENCH]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN,
+         os.path.join(ROOT, "tests", "fixtures", "strategy.es"),
+         str(tmp_path / "trace.txt")],
+        capture_output=True, text=True, env=env, cwd=str(tmp_path),
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["code"] == 0
+    assert report["inferences"] > 0
+    unresolved = {name for name in report["names"]
+                  if not resolves(name, report["phases"])}
+    assert unresolved <= STALE
