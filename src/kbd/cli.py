@@ -222,18 +222,23 @@ def cmd_reduce_ordered(args) -> int:
 
 def cmd_decide(args) -> int:
     pf = load_problem(args)
+    if "==" not in args.query:
+        raise CliError("query must be '%s'"
+                       % ("word == word" if args.string else "term == term"))
+    left, right = (part.strip() for part in args.query.split("==", 1))
     if args.string:
-        if "==" not in args.query:
-            raise CliError("query must be 'word == word'")
-        lw, rw = (part.strip() for part in args.query.split("==", 1))
-        lhs, rhs = word_term(lw), word_term(rw)
+        if not all(w.isalpha() or w == "" for w in (left, right)):
+            raise ParseError("query words must be alphabetic")
+        lhs, rhs = word_term(left), word_term(right)
     else:
-        if "==" not in args.query:
-            raise CliError("query must be 'term == term'")
-        lt, rt = args.query.split("==", 1)
-        names = [n for n in pf.var_names]
-        lhs = parse_term_string(lt.strip(), names)
-        rhs = parse_term_string(rt.strip(), names)
+        lhs = parse_term_string(left, pf.var_names)
+        rhs = parse_term_string(right, pf.var_names)
+    signature = pf.signature()
+    try:
+        signature.absorb(lhs)
+        signature.absorb(rhs)
+    except ValueError as e:
+        raise ParseError(str(e))
     order = build_order(args, pf)
     fuel = fuel_of(args)
     eqs = list(pf.equations) + [r.as_equation() for r in pf.rules]
@@ -251,6 +256,11 @@ def cmd_decide(args) -> int:
             return EXIT_MAYBE
         verdict = ground_joinable(result.state.E, result.state.R, order,
                                   lhs, rhs, fuel)
+        if verdict is False and not (
+                order.kind in ("lpo", "kbo")
+                and order.precedence.is_total_on(signature.symbols())):
+            print("MAYBE (the order is not total on ground terms)")
+            return EXIT_MAYBE
         if verdict is not None:
             print("VALID" if verdict else "INVALID")
             return EXIT_YES if verdict else EXIT_NO

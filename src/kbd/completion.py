@@ -27,12 +27,12 @@ from typing import Optional, Sequence
 
 from .critical_pairs import OverlapCache, Peak, overlap_at, peak_pairs
 from .orders import OrderSpec
-from .rewriting import (_contractions, _equation_views, _normal_form,
-                        _rule_views, conversion_oracle, innermost_redex)
-from .terms import (Equation, Fun, InvalidPosition, Position, Rule, RuleLike,
-                    Term, Var, canonical_pair, equation_variants,
-                    pair_variants, replace_at, size, subterm_at, subterms,
-                    variables)
+from .rewriting import (_contractions, _equation_views, _format_ref,
+                        _normal_form, _rule_views, conversion_oracle,
+                        innermost_redex)
+from .terms import (Equation, Fun, InvalidPosition, Position, Rule, Term,
+                    Var, canonical_pair, equation_variants, pair_variants,
+                    replace_at, size, subterm_at, subterms, variables)
 
 
 class SideConditionError(Exception):
@@ -142,26 +142,6 @@ def _check_rule_index(state: RunState, k) -> Rule:
     return state.R[k]
 
 
-def _oriented(state: RunState, ref, allow_equations: bool) -> RuleLike:
-    """The referenced rule, or equation read in the given direction."""
-    if ref is None:
-        raise SideConditionError("missing rule reference")
-    (space, j), rev = ref
-    if space == "rule":
-        if rev:
-            raise SideConditionError("rules apply left-to-right only")
-        return _check_rule_index(state, j)
-    if space == "eq":
-        if not allow_equations:
-            raise SideConditionError(
-                "equations cannot be used as rules in this calculus")
-        if not 0 <= j < len(state.E):
-            raise SideConditionError("no equation #%s" % j)
-        eq = state.E[j]
-        return eq.reversed() if rev else eq
-    raise SideConditionError("bad reference %r" % (ref,))
-
-
 def _subterm(term: Term, pos: Position) -> Term:
     try:
         return subterm_at(term, pos)
@@ -169,20 +149,49 @@ def _subterm(term: Term, pos: Position) -> Term:
         raise SideConditionError("no position %r in %s" % (pos, term))
 
 
-def _rewrite_with_ref(state: RunState, term: Term, pos: Position,
-                      ref, order: OrderSpec,
-                      *, exclude_rule: Optional[int] = None,
-                      allow_equations: bool = False,
-                      encompass: bool = False) -> Term:
-    """Apply the referenced rule or oriented equation instance at ``pos``,
-    through the one step primitive, :func:`_contractions`: an equation
-    instance must be decreasing, and ``encompass`` additionally demands
-    that the whole ``term`` properly encompasses the (uninstantiated)
-    left-hand side used.
-    """
-    if ref is not None and ref[0] == ("rule", exclude_rule):
-        raise SideConditionError("rule may not rewrite with itself")
-    view = _oriented(state, ref, allow_equations)
+def _rewrite_views(state: RunState, calc: Calculus, kind: str, own):
+    """The views a simplify, compose or collapse step may use, in the
+    groups the engine searches in turn, each with whether the rewritten
+    term must properly encompass the side used: the rules, then, with
+    equation steps, the equations read both ways.  Neither holds ``own``,
+    the rule or equation rewritten, ``('rule', m)`` or ``('eq', i)``."""
+    space, k = own
+    groups = [(_rule_views(state.R, k if space == "rule" else None),
+               kind == "collapse" and calc.encompassing)]
+    if calc.equation_steps:
+        groups.append((_equation_views(state.E, k if space == "eq" else None),
+                       kind != "compose"))
+    return groups
+
+
+def _peak_views(state: RunState, calc: Calculus) -> list:
+    """The participants of critical peaks, with their references: the
+    rules, and in the ordered calculi each equation read both ways.  They
+    also make up the rewrite relation (with the order applying to equation
+    views) under which a peak is prime and the engine joins a pair."""
+    views = _rule_views(state.R)
+    return views + _equation_views(state.E) if calc.ordered else views
+
+
+def _view(groups, kind: str, ref):
+    """The view that ``ref`` names among ``groups`` of ``(views, flag)``,
+    with its group's flag; a ``kind`` step may use no other."""
+    for views, flag in groups:
+        view = dict(views).get(ref)
+        if view is not None:
+            return view, flag
+    raise SideConditionError("%s may not use %s" % (kind, _format_ref(ref)))
+
+
+def _rewrite_with_ref(state: RunState, calc: Calculus, kind: str, own,
+                      term: Term, pos: Position, ref,
+                      order: OrderSpec) -> Term:
+    """Apply the view ``ref`` at ``pos`` of ``term``, which ``own`` holds,
+    through the one step primitive, :func:`_contractions`.  ``ref`` must
+    be among the views the engine searches for this step
+    (:func:`_rewrite_views`), under its group's encompassment demand; an
+    equation instance must be decreasing."""
+    view, encompass = _view(_rewrite_views(state, calc, kind, own), kind, ref)
     hit = next(_contractions(_subterm(term, pos), [(ref, view)],
                              order, term if encompass else None), None)
     if hit is None:
@@ -193,44 +202,45 @@ def _rewrite_with_ref(state: RunState, term: Term, pos: Position,
     return replace_at(term, pos, hit[1])
 
 
-def _check_peak(state: RunState, eq: Equation, peak: Peak, ordered: bool,
+def _check_peak(state: RunState, calc: Calculus, eq: Equation, peak: Peak,
                 order: OrderSpec):
-    """``eq`` must be, up to variants, the critical pair of the named peak.
+    """``eq`` must be, up to variants, the critical pair of the named peak,
+    whose participants are among the peak views (:func:`_peak_views`).
 
-    In the ordered calculi the participants may be equations read either
-    way, and the overlap must meet the ordering conditions of extended
-    critical pairs.
+    In the ordered calculi the overlap must meet the ordering conditions
+    of extended critical pairs.
     """
-    outer = _oriented(state, peak.outer, ordered)
-    inner = _oriented(state, peak.inner, ordered)
+    groups = [(_peak_views(state, calc), None)]
+    outer, _ = _view(groups, "deduce", peak.outer)
+    inner, _ = _view(groups, "deduce", peak.inner)
     _subterm(outer.lhs, peak.pos)
-    o = overlap_at(outer, inner, peak.pos, order if ordered else None)
+    o = overlap_at(outer, inner, peak.pos, order if calc.ordered else None)
     if o is None:
         raise SideConditionError("%s does not overlap %s at position %r"
                                  % (inner, outer, peak.pos))
-    if not equation_variants(eq, o.pair()):
+    if not equation_variants(eq, o.pair):
         raise SideConditionError("the peak yields %s, not %s"
-                                 % (o.pair(), eq))
+                                 % (o.pair, eq))
 
 
-def _deduce_ok(state: RunState, eq: Equation, ordered: bool,
+def _deduce_ok(state: RunState, calc: Calculus, eq: Equation,
                order: OrderSpec) -> bool:
     """A deduce that names no peak must come from some peak of the
     current system.
 
-    Membership in the critical pairs of the current system (of E± ∪ R
-    under the ordering conditions in the ordered calculi, of R otherwise)
-    is checked first.  Otherwise, in the ordered calculi, a conversion of
-    at most two E± steps between the two sides is accepted: E± steps are
-    symmetric, so it is a peak, and it covers instances of equations.
-    Rule steps do not count, as ``s -> u <- t`` is a valley.
+    Membership in the critical pairs of the peak views (under the ordering
+    conditions in the ordered calculi) is checked first.  Otherwise, in
+    the ordered calculi, a conversion of at most two E± steps between the
+    two sides is accepted: E± steps are symmetric, so it is a peak, and it
+    covers instances of equations.  Rule steps do not count, as
+    ``s -> u <- t`` is a valley.
     """
     keys = {canonical_pair(eq), canonical_pair(eq.reversed())}
-    E = state.E if ordered else []
-    views = _rule_views(state.R) + _equation_views(E)
     if any(canonical_pair(pair) in keys for pair, _ in
-           peak_pairs(views, order if ordered else None, prime=False)):
+           peak_pairs(_peak_views(state, calc),
+                      order if calc.ordered else None, prime=False)):
         return True
+    E = state.E if calc.ordered else []
     cap = max(size(eq.lhs), size(eq.rhs)) + \
         max([max(size(e.lhs), size(e.rhs)) for e in E] or [0]) + 2
     return conversion_oracle(E, eq.lhs, eq.rhs, depth=2, size_cap=cap)
@@ -275,8 +285,8 @@ def apply_inference(state: RunState, inf: Inference, variant: str,
             raise SideConditionError("linear completion deduces only "
                                      "linear equations: %s" % eq)
         if inf.peak is not None:
-            _check_peak(state, eq, inf.peak, calc.ordered, order)
-        elif not _deduce_ok(state, eq, calc.ordered, order):
+            _check_peak(state, calc, eq, inf.peak, order)
+        elif not _deduce_ok(state, calc, eq, order):
             raise SideConditionError("no peak yields %s" % eq)
         _record_equation(state, eq)
         return
@@ -287,12 +297,8 @@ def apply_inference(state: RunState, inf: Inference, variant: str,
         if inf.side not in ("lhs", "rhs"):
             raise SideConditionError("simplify side must be lhs or rhs")
         term = eq.lhs if inf.side == "lhs" else eq.rhs
-        # in ordered completion an equation instance may simplify, provided
-        # the rewritten side properly encompasses the equation's lhs
-        new_term = _rewrite_with_ref(
-            state, term, inf.pos or (), inf.ref, order,
-            allow_equations=calc.equation_steps,
-            encompass=inf.ref is not None and inf.ref[0][0] == "eq")
+        new_term = _rewrite_with_ref(state, calc, kind, ("eq", i), term,
+                                     inf.pos or (), inf.ref, order)
         new_eq = Equation(new_term, eq.rhs) if inf.side == "lhs" \
             else Equation(eq.lhs, new_term)
         state.E[i] = new_eq
@@ -301,18 +307,15 @@ def apply_inference(state: RunState, inf: Inference, variant: str,
 
     if kind == "compose":
         rule = _check_rule_index(state, inf.target)
-        new_rhs = _rewrite_with_ref(
-            state, rule.rhs, inf.pos or (), inf.ref, order,
-            exclude_rule=inf.target, allow_equations=calc.equation_steps)
+        new_rhs = _rewrite_with_ref(state, calc, kind, ("rule", inf.target),
+                                    rule.rhs, inf.pos or (), inf.ref, order)
         state.R[inf.target] = Rule(rule.lhs, new_rhs)
         return
 
     if kind == "collapse":
         rule = _check_rule_index(state, inf.target)
-        new_lhs = _rewrite_with_ref(
-            state, rule.lhs, inf.pos or (), inf.ref, order,
-            exclude_rule=inf.target, allow_equations=calc.equation_steps,
-            encompass=calc.encompassing)
+        new_lhs = _rewrite_with_ref(state, calc, kind, ("rule", inf.target),
+                                    rule.lhs, inf.pos or (), inf.ref, order)
         del state.R[inf.target]
         _record_equation(state, Equation(new_lhs, rule.rhs))
         return
@@ -343,8 +346,8 @@ class _OutOfFuel(Exception):
 
 
 class _Driver:
-    """The engine loop of every calculus; :mod:`kbd.ordered` subclasses it
-    for the ordered rewrite relation of kbo and kbl.
+    """The engine loop of every calculus, whose :class:`Calculus` record
+    says which views each inference searches.
 
     Every inference goes through :meth:`emit`, the one place where fuel is
     spent: asked for one more inference than the fuel allows, it raises
@@ -389,30 +392,27 @@ class _Driver:
                                          str(eq))
         return key
 
-    def step(self, term: Term, rules: list, encompass: bool,
-             eq_encompass: bool, skip: Optional[int] = None):
-        """The leftmost-innermost step on ``term`` with one of the
-        candidate ``rules``, or else, in a calculus with equation steps,
-        with a decreasing instance of an equation other than eq#skip:
-        ``(pos, ref, result)`` or None.  The flags demand that ``term``
-        properly encompass the rule's or the equation's side used."""
-        hit = innermost_redex(term, rules, encompass=encompass)
-        if hit is None and self.calculus.equation_steps:
-            hit = innermost_redex(term, _equation_views(self.state.E, skip),
-                                  self.order, eq_encompass)
-        return hit
+    def step(self, kind: str, term: Term, own):
+        """The leftmost-innermost step of a ``kind`` inference on ``term``,
+        which ``own`` holds, with the views of the first group of
+        :func:`_rewrite_views` that has one: ``(pos, ref, result)`` or
+        None."""
+        for views, encompass in _rewrite_views(self.state, self.calculus,
+                                               kind, own):
+            hit = innermost_redex(term, views, self.order, encompass)
+            if hit is not None:
+                return hit
+        return None
 
     def interreduce(self):
         """Collapse (and optionally compose) until no rule is reducible."""
         while True:
             for m, rule in enumerate(self.state.R):
-                others = _rule_views(self.state.R, skip=m)
-                hit = self.step(rule.lhs, others, self.calculus.encompassing,
-                                True)
                 kind = "collapse"
+                hit = self.step(kind, rule.lhs, ("rule", m))
                 if hit is None and self.calculus.composes:
-                    hit = self.step(rule.rhs, others, False, False)
                     kind = "compose"
+                    hit = self.step(kind, rule.rhs, ("rule", m))
                 if hit is not None:
                     pos, ref, _ = hit
                     self.emit(Inference(kind, target=m, pos=pos, ref=ref))
@@ -427,11 +427,10 @@ class _Driver:
         form, which is returned."""
         E = self.state.E
         i = E.index(eq)
-        rules = _rule_views(self.state.R)
         for side in ("lhs", "rhs"):
             while True:
                 eq = E[i]
-                hit = self.step(getattr(eq, side), rules, False, True, i)
+                hit = self.step("simplify", getattr(eq, side), ("eq", i))
                 if hit is None:
                     break
                 pos, ref, _ = hit
@@ -439,18 +438,11 @@ class _Driver:
                                     pos=pos, ref=ref))
         return eq
 
-    def peak_views(self) -> list[tuple[tuple, RuleLike]]:
-        """The participants of critical peaks, with their references; they
-        also make up the rewrite relation (with the order applying to
-        equation views) under which a peak is prime and :meth:`joins`
-        normalizes."""
-        return _rule_views(self.state.R)
-
     def joins(self, s: Term, t: Term) -> bool:
         """Do ``s`` and ``t`` reach the same normal form under the peak
         views (which exists, the rewrite relation being contained in a
         reduction order)?"""
-        views = self.peak_views()
+        views = _peak_views(self.state, self.calculus)
         l = _normal_form(s, views, self.order, 2000)
         if l is None:
             return False
@@ -484,8 +476,9 @@ class _Driver:
             return []
         self.feed_e_union()
         ordered = calc.ordered
-        peaks = peak_pairs(self.peak_views(), self.order if ordered else None,
-                           calc.linear, cache=self.overlaps)
+        peaks = peak_pairs(_peak_views(self.state, calc),
+                           self.order if ordered else None, calc.linear,
+                           cache=self.overlaps)
         return [(eq, peak) for eq, peak in peaks
                 if not (eq.is_trivial()
                         or ordered and canonical_pair(eq) in self.recorded

@@ -25,10 +25,9 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .orders import OrderSpec
 from .rewriting import (Eqns, Rules, _equation_views, _rule_views,
                         innermost_redex)
-from .terms import (Equation, Position, Rule, RuleLike, Term, Var,
-                    apply_subst, canonical_pair, fun_positions,
-                    pair_variants, rename_apart, replace_at, subterm_at,
-                    unify)
+from .terms import (Equation, Position, RuleLike, Term, Var, apply_subst,
+                    canonical_pair, fun_positions, pair_variants,
+                    rename_apart, replace_at, subterm_at, unify)
 
 
 class Peak(NamedTuple):
@@ -45,25 +44,14 @@ class Peak(NamedTuple):
     pos: Position
 
 
-@dataclass(frozen=True)
-class Overlap:
-    """Rule ``inner`` applies at position ``pos`` inside ``outer``'s lhs."""
+class Overlap(NamedTuple):
+    """An overlap at position ``pos`` of the outer view's left-hand side:
+    its critical pair (the inner step's result against the outer's) and
+    the contracted inner redex."""
 
-    inner: Rule
-    outer: Rule
     pos: Position
-    mgu: dict
-
-    def redex(self) -> Term:
-        """The contracted inner redex, ``inner.lhs`` under the mgu."""
-        return apply_subst(self.mgu, self.inner.lhs)
-
-    def pair(self) -> Equation:
-        """The critical pair: the inner step's result against the outer's."""
-        source = apply_subst(self.mgu, self.outer.lhs)
-        reduct = apply_subst(self.mgu, self.inner.rhs)
-        return Equation(replace_at(source, self.pos, reduct),
-                        apply_subst(self.mgu, self.outer.rhs))
+    pair: Equation
+    redex: Term
 
 
 def _overlap(outer: RuleLike, inner: RuleLike, pos: Position,
@@ -73,12 +61,14 @@ def _overlap(outer: RuleLike, inner: RuleLike, pos: Position,
     mgu = unify(inner.lhs, subterm_at(outer.lhs, pos))
     if mgu is None or pos == () and pair_variants(inner, outer):
         return None
-    if order is not None and (
-            order.gt(apply_subst(mgu, inner.rhs), apply_subst(mgu, inner.lhs))
-            or order.gt(apply_subst(mgu, outer.rhs),
-                        apply_subst(mgu, outer.lhs))):
+    redex, reduct = apply_subst(mgu, inner.lhs), apply_subst(mgu, inner.rhs)
+    if order is not None and order.gt(reduct, redex):
         return None
-    return Overlap(inner, outer, pos, mgu)
+    source, other = apply_subst(mgu, outer.lhs), apply_subst(mgu, outer.rhs)
+    if order is not None and order.gt(other, source):
+        return None
+    return Overlap(pos, Equation(replace_at(source, pos, reduct), other),
+                   redex)
 
 
 def _linear_condition(inner: RuleLike, outer: RuleLike,
@@ -134,12 +124,12 @@ class OverlapCache:
     The overlaps of two views depend on the two views alone (and on the
     order and ``linear``, fixed for the run).  Each view gets a small id
     the first time it is seen, so that a scan hashes each view once; an
-    entry holds the position, the critical pair and the redex of each
-    overlap, and each scan keeps only its own pairs'.
+    entry holds a pair of views' :class:`Overlap` list, and each scan
+    keeps only its own pairs'.
     """
 
     ids: dict[RuleLike, int] = field(default_factory=dict)
-    overlaps: dict[tuple[int, int], tuple] = field(default_factory=dict)
+    overlaps: dict[tuple[int, int], list] = field(default_factory=dict)
 
 
 def peak_pairs(views, order: Optional[OrderSpec] = None,
@@ -172,8 +162,7 @@ def peak_pairs(views, order: Optional[OrderSpec] = None,
         for (iref, inner), iid in zip(views, ids):
             found = old.get((oid, iid))
             if found is None:
-                found = tuple((o.pos, o.pair(), o.redex()) for o in
-                              pair_overlaps(outer, inner, order, linear))
+                found = pair_overlaps(outer, inner, order, linear)
             cache.overlaps[oid, iid] = found
             for pos, pair, redex in found:
                 if prime and any(innermost_redex(a, views, order)

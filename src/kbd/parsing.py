@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .completion import CALCULI, Inference, Peak, calculus
+from .rewriting import _format_ref
 from .terms import (Equation, Fun, Position, Rule, Signature, Term, Var)
 
 
@@ -240,14 +241,6 @@ def parse_position(text: str) -> Position:
         return tuple(int(part) for part in text.split("."))
     except ValueError:
         raise ParseError("bad position %r" % text)
-
-
-def _format_ref(ref) -> str:
-    (space, k), rev = ref
-    out = "%s#%d" % (space, k)
-    if space == "eq":
-        out += " rev" if rev else " fwd"
-    return out
 
 
 _DEDUCE_WORDS = {c.deduce_word for c in CALCULI.values()}

@@ -46,6 +46,15 @@ def _equation_views(eqs: Eqns, skip: Optional[int] = None) -> list:
             for j, eq in enumerate(eqs) if j != skip for rev in (False, True)]
 
 
+def _format_ref(ref) -> str:
+    """A view's reference as traces print it: rule#k, eq#j fwd or rev."""
+    (space, k), rev = ref
+    out = "%s#%d" % (space, k)
+    if space == "eq":
+        out += " rev" if rev else " fwd"
+    return out
+
+
 def _contractions(t: Term, candidates, order: Optional[OrderSpec] = None,
                   whole: Optional[Term] = None):
     """Every candidate applicable at the root of ``t``, in order, as

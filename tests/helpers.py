@@ -259,9 +259,9 @@ def critical_peaks(rules, eqs=(), order=None, linear=False):
     for outer in views:
         for inner in views:
             for o in pair_overlaps(outer, inner, order, linear):
-                pair = o.pair()
+                pair = o.pair
                 prime = all(ordered_step(eqs, rules, order, u) is None
-                            for u in proper_subterms(o.redex()))
+                            for u in proper_subterms(o.redex))
                 out.append(CriticalPeak(pair.lhs, o.pos, pair.rhs, prime))
     return out
 

@@ -11,6 +11,9 @@ from kbd.cli import entry
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
+COMM = "(VAR x y) (EQUATIONS f(x,y) == f(y,x))"
+
+
 def fixture(name):
     return os.path.join(FIXTURES, name)
 
@@ -101,21 +104,39 @@ class TestComplete:
         assert code == 3
         assert out == "" and "PARSE-ERROR" in err
 
-    @pytest.mark.parametrize("line", [
-        "simplify f(a) == b lhs at 1.1.1 with rule#0",
-        "deduce f(b) == f(b) from rule#0 rule#0 at 1.1",
-        "deduce f(b) == f(b) from rule#0 rule#3 at e",
-        "deduce f(b) == f(b) from rule#3 rule#0 at e",
-    ], ids=["position", "peak-position", "inner-ref", "outer-ref"])
-    def test_replay_bad_reference_fails(self, capsys, tmp_path, line):
+    @pytest.mark.parametrize("line, variant, reason", [
+        ("simplify f(a) == b lhs at 1.1.1 with rule#0", "kbf",
+         "no position (1, 1, 1) in f(a)"),
+        ("deduce f(b) == f(b) from rule#0 rule#0 at 1.1", "kbf",
+         "no position (1, 1) in a"),
+        ("deduce f(b) == f(b) from rule#0 rule#3 at e", "kbf",
+         "deduce may not use rule#3"),
+        ("deduce f(b) == f(b) from rule#3 rule#0 at e", "kbf",
+         "deduce may not use rule#3"),
+        ("simplify f(a) == b lhs at 1 with eq#9 fwd", "kbo",
+         "simplify may not use eq#9 fwd"),
+        ("simplify f(a) == b lhs at 1 with eq#1 fwd", "kbf",
+         "simplify may not use eq#1 fwd"),
+        ("compose rule#0 at e with rule#0", "kbf",
+         "compose may not use rule#0"),
+        ("deduce f(b) == b from eq#0 fwd rule#0 at 1", "kbf",
+         "deduce may not use eq#0 fwd"),
+        ("deduce-lin g(x,x) == x", "kbl",
+         "linear completion deduces only linear equations: g(x,x) == x"),
+    ], ids=["position", "peak-position", "inner-ref", "outer-ref",
+            "no-equation", "no-equation-steps", "own-rule",
+            "no-equation-peaks", "nonlinear"])
+    def test_replay_bad_reference_fails(self, capsys, tmp_path, line,
+                                        variant, reason):
+        """Replay accepts only the views the engine would search."""
         problem = tmp_path / "p.trs"
-        problem.write_text("(RULES a -> b) (EQUATIONS f(a) == b)\n")
+        problem.write_text("(VAR x) (RULES a -> b) "
+                           "(EQUATIONS f(a) == b  a == c)\n")
         script = tmp_path / "bad.txt"
         script.write_text(line + "\n")
-        code, out, _ = run(capsys, "replay", str(problem),
-                           "--script", str(script))
-        assert code == 1
-        assert out.startswith("FAIL (")
+        code, out, _ = run(capsys, "replay", str(problem), "--prec", "a>c",
+                           "--script", str(script), "--variant", variant)
+        assert (code, out) == (1, "FAIL (%s)\n" % reason)
 
     @pytest.mark.parametrize("text, prec, rule", [
         ("bx == a\n", "x>b>a", "bx -> a"),
@@ -275,6 +296,50 @@ class TestDecide:
                            "--prec", "+>0", "+(0,0) == 0")
         assert code == 0
         assert out.strip() == "VALID"
+
+    @pytest.mark.parametrize("problem, flags, query, code, verdict", [
+        ("(EQUATIONS a == b)", (), "a == b", 2, "MAYBE (the order is not "
+         "total on ground terms)"),
+        ("(EQUATIONS a == b)", ("--order", "kbo"), "a == b", 2,
+         "MAYBE (the order is not total on ground terms)"),
+        ("(EQUATIONS a == b)", ("--prec", "a>b"), "a == b", 0, "VALID"),
+        (COMM, ("--prec", "f>a>b"), "f(a,b) == f(b,a)", 0, "VALID"),
+        (COMM, ("--prec", "f>a>b"), "f(a,b) == a", 1, "INVALID"),
+        (COMM, ("--prec", "f>a"), "f(a,b) == a", 2,
+         "MAYBE (the order is not total on ground terms)"),
+        (COMM, ("--prec", "f>a>b"), "f(a,c) == a", 2,
+         "MAYBE (the order is not total on ground terms)"),
+    ], ids=["lpo", "kbo", "total", "comm-valid", "comm-invalid",
+            "partial-prec", "query-symbol"])
+    def test_ordered_phase_refutes_only_under_a_ground_total_order(
+            self, capsys, tmp_path, problem, flags, query, code, verdict):
+        path = tmp_path / "p.es"
+        path.write_text(problem + "\n")
+        assert run(capsys, "decide", str(path), *flags, query)[:2] == \
+            (code, verdict + "\n")
+
+    @pytest.mark.parametrize("query, code, verdict", [
+        ("aaa == a", 0, "VALID"), ("a == ", 1, "INVALID")])
+    def test_string_query(self, capsys, tmp_path, query, code, verdict):
+        path = tmp_path / "aa.str"
+        path.write_text("aa == a\n")
+        assert run(capsys, "decide", str(path), "--string", query)[:2] == \
+            (code, verdict + "\n")
+
+    @pytest.mark.parametrize("problem, flags, query", [
+        ("aa.str", ("--string",), "a b == a"),
+        ("aa.str", ("--string",), "a(b) == a"),
+        ("groups.es", ("--prec", "i>*>e"), "*(x) == x"),
+    ], ids=["string-blank", "string-term", "arity"])
+    def test_malformed_query_is_a_parse_error(self, capsys, tmp_path,
+                                              problem, flags, query):
+        path = tmp_path / "aa.str"
+        path.write_text("aa == a\n")
+        if problem != "aa.str":
+            path = fixture(problem)
+        code, out, err = run(capsys, "decide", str(path), *flags, query)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("PARSE-ERROR")
 
 
 class TestCheckConfluence:

@@ -191,6 +191,21 @@ class TestEncompassmentCollapse:
         apply_inference(state, inf, "kbi", lpo([("a", "b")]))
         assert state.E == [Equation(f(f(b)), b)]
 
+    def test_kbo_equation_instance_composes_but_does_not_collapse(self):
+        # compose needs no encompassment; g(x) does not properly encompass
+        # the equation's side g(y), so collapse refuses the same step
+        g, h = (lambda t: Fun("g", (t,))), (lambda t: Fun("h", (t,)))
+        order = lpo([("f", "g"), ("g", "h"), ("g", "a")])
+        state = RunState.start([Equation(g(y), h(y))],
+                               [Rule(f(x), g(x)), Rule(g(x), a)])
+        ref = (("eq", 0), False)
+        apply_inference(state, Inference("compose", target=0, pos=(),
+                                         ref=ref), "kbo", order)
+        assert state.R == [Rule(f(x), h(x)), Rule(g(x), a)]
+        with pytest.raises(SideConditionError, match="encompass"):
+            apply_inference(state, Inference("collapse", target=1, pos=(),
+                                             ref=ref), "kbo", order)
+
 
 def scripted_success():
     return [

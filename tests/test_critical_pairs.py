@@ -62,11 +62,11 @@ class TestOverlaps:
         assert () not in positions
 
     def test_root_overlap_of_distinct_rules(self):
-        os = [o for outer in PCPEX for inner in PCPEX
+        os = [(outer, inner, o) for outer in PCPEX for inner in PCPEX
               for o in pair_overlaps(outer, inner)]
-        assert any(o.pos == () and not pair_variants(o.inner, o.outer)
-                   for o in os)
-        assert any(o.pos == (1,) for o in os)
+        assert any(o.pos == () and not pair_variants(inner, outer)
+                   for outer, inner, o in os)
+        assert any(o.pos == (1,) for _, _, o in os)
 
 
 class TestCriticalPairs:
