@@ -315,7 +315,7 @@ def cmd_replay(args) -> int:
     order = build_order(args, pf)
     try:
         with open(args.script) as fh:
-            script = parse_trace(fh.read(), pf.is_var)
+            script = parse_trace(fh.read(), pf.var_test())
     except OSError as e:
         raise CliError(str(e))
     try:

@@ -31,8 +31,8 @@ from .rewriting import (_contractions, _equation_views, _format_ref,
                         _normal_form, _rule_views, conversion_oracle,
                         innermost_redex)
 from .terms import (Equation, Fun, InvalidPosition, Position, Rule, Term,
-                    Var, canonical_pair, equation_variants, pair_variants,
-                    replace_at, size, subterm_at, subterms, variables)
+                    Var, canonical_pair, replace_at, size, subterm_at,
+                    subterms, variables)
 
 
 class SideConditionError(Exception):
@@ -80,12 +80,17 @@ class RunState:
     """Current equations and rules of a completion run.
 
     ``e_union`` accumulates every equation that was ever present in the
-    equation list; fairness is judged against it.
+    equation list; fairness is judged against it.  ``rule_keys`` holds the
+    variant key (:func:`kbd.terms.canonical_pair`) of each rule that
+    orient has compared, filled as it goes; a key depends on its rule
+    alone, so copies of a state share it.
     """
 
     E: list[Equation]
     R: list[Rule]
     e_union: list[Equation] = field(default_factory=list)
+    rule_keys: dict[Rule, tuple[Term, Term]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def start(cls, eqs: Sequence[Equation],
@@ -93,7 +98,14 @@ class RunState:
         return cls(list(eqs), list(rules), list(eqs))
 
     def copy(self) -> "RunState":
-        return RunState(list(self.E), list(self.R), list(self.e_union))
+        return RunState(list(self.E), list(self.R), list(self.e_union),
+                        self.rule_keys)
+
+    def rule_key(self, rule: Rule) -> tuple[Term, Term]:
+        key = self.rule_keys.get(rule)
+        if key is None:
+            key = self.rule_keys[rule] = canonical_pair(rule)
+        return key
 
 
 @dataclass(frozen=True)
@@ -218,7 +230,7 @@ def _check_peak(state: RunState, calc: Calculus, eq: Equation, peak: Peak,
     if o is None:
         raise SideConditionError("%s does not overlap %s at position %r"
                                  % (inner, outer, peak.pos))
-    if not equation_variants(eq, o.pair):
+    if o.key not in (canonical_pair(eq), canonical_pair(eq.reversed())):
         raise SideConditionError("the peak yields %s, not %s"
                                  % (o.pair, eq))
 
@@ -236,7 +248,7 @@ def _deduce_ok(state: RunState, calc: Calculus, eq: Equation,
     ``s -> u <- t`` is a valley.
     """
     keys = {canonical_pair(eq), canonical_pair(eq.reversed())}
-    if any(canonical_pair(pair) in keys for pair, _ in
+    if any(key in keys for _, _, key in
            peak_pairs(_peak_views(state, calc),
                       order if calc.ordered else None, prime=False)):
         return True
@@ -265,7 +277,8 @@ def apply_inference(state: RunState, inf: Inference, variant: str,
                                      % (eq, lhs))
         rule = Rule(lhs, rhs)
         del state.E[i]
-        if not any(pair_variants(rule, r) for r in state.R):
+        key = state.rule_key(rule)
+        if not any(state.rule_key(r) == key for r in state.R):
             state.R.append(rule)
         return
 
@@ -372,6 +385,11 @@ class _Driver:
         # ordered calculi their canonical pairs, fed from its new tail
         self.e_union_views: list = []
         self.recorded: set = set()
+        # critical pairs that one step with an e_union member connects,
+        # which stays so as e_union grows: those that passed the test,
+        # and those deduced (whose own equation, once in e_union, steps
+        # from one side to the other at the root)
+        self.connected: set[Equation] = set()
 
     def emit(self, inf: Inference):
         if self.fuel is not None and len(self.trace) >= self.fuel:
@@ -470,6 +488,12 @@ class _Driver:
         calculi, which keep equations unoriented, also count a variant of
         a recorded equation, which a single step misses when the sides
         differ in their variables; they test it first, as it is cheapest.
+
+        Of these tests only joining can change its answer from one scan
+        to the next, as R and E change: a recorded equation stays
+        recorded, and a step with one stays a step.  So a pair found
+        connected (``connected``) is not tested again, and each pair's
+        variant key comes with its overlap, computed once per run.
         """
         calc = self.calculus
         if not calc.deduces:
@@ -479,12 +503,20 @@ class _Driver:
         peaks = peak_pairs(_peak_views(self.state, calc),
                            self.order if ordered else None, calc.linear,
                            cache=self.overlaps)
-        return [(eq, peak) for eq, peak in peaks
+        return [(eq, peak) for eq, peak, key in peaks
                 if not (eq.is_trivial()
-                        or ordered and canonical_pair(eq) in self.recorded
+                        or ordered and key in self.recorded
+                        or eq in self.connected
                         or self.joins(eq.lhs, eq.rhs)
-                        or single_step_connects(self.e_union_views,
-                                                eq.lhs, eq.rhs))]
+                        or self.steps_across(eq))]
+
+    def steps_across(self, eq: Equation) -> bool:
+        """Does one step with an ``e_union`` member connect the sides of
+        ``eq``?  A yes is kept in ``connected``."""
+        if single_step_connects(self.e_union_views, eq.lhs, eq.rhs):
+            self.connected.add(eq)
+            return True
+        return False
 
     def run(self) -> RunResult:
         state = self.state
@@ -497,6 +529,7 @@ class _Driver:
                         break
                     for eq, peak in gap:
                         self.emit(Inference("deduce", equation=eq, peak=peak))
+                        self.connected.add(eq)
                     continue
                 eq = self.simplify_to_normal_form(min(live, key=self.priority))
                 if eq.is_trivial():

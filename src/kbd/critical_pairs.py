@@ -25,8 +25,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .orders import OrderSpec
 from .rewriting import (Eqns, Rules, _equation_views, _rule_views,
                         innermost_redex)
-from .terms import (Equation, Position, RuleLike, Term, Var, apply_subst,
-                    canonical_pair, fun_positions, pair_variants,
+from .terms import (Equation, Fun, Position, RuleLike, Term, Var,
+                    apply_subst, canonical_pair, fun_sites, pair_variants,
                     rename_apart, replace_at, subterm_at, unify)
 
 
@@ -46,12 +46,14 @@ class Peak(NamedTuple):
 
 class Overlap(NamedTuple):
     """An overlap at position ``pos`` of the outer view's left-hand side:
-    its critical pair (the inner step's result against the outer's) and
-    the contracted inner redex."""
+    its critical pair (the inner step's result against the outer's), the
+    contracted inner redex, and the pair's variant key
+    (:func:`kbd.terms.canonical_pair`)."""
 
     pos: Position
     pair: Equation
     redex: Term
+    key: tuple[Term, Term]
 
 
 def _overlap(outer: RuleLike, inner: RuleLike, pos: Position,
@@ -67,8 +69,8 @@ def _overlap(outer: RuleLike, inner: RuleLike, pos: Position,
     source, other = apply_subst(mgu, outer.lhs), apply_subst(mgu, outer.rhs)
     if order is not None and order.gt(other, source):
         return None
-    return Overlap(pos, Equation(replace_at(source, pos, reduct), other),
-                   redex)
+    pair = Equation(replace_at(source, pos, reduct), other)
+    return Overlap(pos, pair, redex, canonical_pair(pair))
 
 
 def _linear_condition(inner: RuleLike, outer: RuleLike,
@@ -83,7 +85,9 @@ def _linear_condition(inner: RuleLike, outer: RuleLike,
 
 def pair_overlaps(outer: RuleLike, inner: RuleLike,
                   order: Optional[OrderSpec] = None,
-                  linear: bool = False) -> list[Overlap]:
+                  linear: bool = False,
+                  sites: Optional[list[tuple[Position, str]]] = None
+                  ) -> list[Overlap]:
     """Overlaps of a renamed-apart variant of ``inner`` into ``outer``.
 
     A rule overlapping a variant of itself at the root is excluded.  With
@@ -92,15 +96,27 @@ def pair_overlaps(outer: RuleLike, inner: RuleLike,
     ``linear`` as well, only when one participant is oriented (see
     :func:`linear_critical_pairs`).  The result depends on ``outer`` and
     ``inner`` alone, so a completion run can compute it once per pair.
+    ``sites`` are ``fun_sites(outer.lhs)``, for a caller that keeps them.
+
+    Only the positions whose symbol is the root symbol of ``inner.lhs``
+    can unify with it (every position, when that is a variable), and the
+    linear condition is judged on the participants alone, invariant under
+    renaming; so no renaming or unification is tried when either rules
+    every overlap out.
     """
+    if sites is None:
+        sites = fun_sites(outer.lhs)
+    if isinstance(inner.lhs, Fun):
+        root = inner.lhs.symbol
+        sites = [site for site in sites if site[1] == root]
+    if not sites or linear and not _linear_condition(inner, outer, order):
+        return []
     inner = rename_apart(outer, inner)
     out = []
-    for pos in fun_positions(outer.lhs):
+    for pos, _ in sites:
         o = _overlap(outer, inner, pos, order)
         if o is not None:
             out.append(o)
-    if linear and out and not _linear_condition(inner, outer, order):
-        return []
     return out
 
 
@@ -125,20 +141,22 @@ class OverlapCache:
     order and ``linear``, fixed for the run).  Each view gets a small id
     the first time it is seen, so that a scan hashes each view once; an
     entry holds a pair of views' :class:`Overlap` list, and each scan
-    keeps only its own pairs'.
+    keeps only its own pairs'.  ``sites`` holds each view's
+    :func:`kbd.terms.fun_sites` of its left-hand side, by id.
     """
 
     ids: dict[RuleLike, int] = field(default_factory=dict)
     overlaps: dict[tuple[int, int], list] = field(default_factory=dict)
+    sites: dict[int, list] = field(default_factory=dict)
 
 
 def peak_pairs(views, order: Optional[OrderSpec] = None,
                linear: bool = False, prime: bool = True,
                cache: Optional[OverlapCache] = None
-               ) -> Iterator[tuple[Equation, Peak]]:
+               ) -> Iterator[tuple[Equation, Peak, tuple[Term, Term]]]:
     """The critical pairs of ``views``, each with the first peak that
-    yields it, one at a time, so that a search for one pair stops when it
-    finds it.
+    yields it and its variant key, one at a time, so that a search for one
+    pair stops when it finds it.
 
     ``views`` are ``(ref, view)`` pairs as :func:`kbd.rewriting.
     _rule_views` and :func:`kbd.rewriting._equation_views` build them.
@@ -162,16 +180,17 @@ def peak_pairs(views, order: Optional[OrderSpec] = None,
         for (iref, inner), iid in zip(views, ids):
             found = old.get((oid, iid))
             if found is None:
-                found = pair_overlaps(outer, inner, order, linear)
+                sites = cache.sites.get(oid)
+                if sites is None:
+                    sites = cache.sites[oid] = fun_sites(outer.lhs)
+                found = pair_overlaps(outer, inner, order, linear, sites)
             cache.overlaps[oid, iid] = found
-            for pos, pair, redex in found:
-                if prime and any(innermost_redex(a, views, order)
-                                 for a in redex.args):
+            for pos, pair, redex, key in found:
+                if key in seen or prime and any(
+                        innermost_redex(a, views, order) for a in redex.args):
                     continue
-                key = canonical_pair(pair)
-                if key not in seen:
-                    seen.add(key)
-                    yield pair, Peak(oref, iref, pos)
+                seen.add(key)
+                yield pair, Peak(oref, iref, pos), key
 
 
 def dedup_pairs(eqs: Sequence[RuleLike]) -> list[RuleLike]:
@@ -189,13 +208,14 @@ def dedup_pairs(eqs: Sequence[RuleLike]) -> list[RuleLike]:
 
 def critical_pairs(rules: Rules) -> list[Equation]:
     """CP(R): all critical pairs, deduplicated up to literal similarity."""
-    return [pair for pair, _ in peak_pairs(_rule_views(rules), prime=False)]
+    return [pair for pair, _, _ in
+            peak_pairs(_rule_views(rules), prime=False)]
 
 
 def prime_critical_pairs(rules: Rules) -> list[Equation]:
     """PCP(R): critical pairs whose contracted redex has irreducible
     proper subterms."""
-    return [pair for pair, _ in peak_pairs(_rule_views(rules))]
+    return [pair for pair, _, _ in peak_pairs(_rule_views(rules))]
 
 
 def extended_critical_pairs(eqs: Eqns, rules: Rules,
@@ -206,7 +226,7 @@ def extended_critical_pairs(eqs: Eqns, rules: Rules,
     conditions require r1μ not > l1μ and r2μ not > l2μ.
     """
     views = _rule_views(rules) + _equation_views(eqs)
-    return [pair for pair, _ in peak_pairs(views, order)]
+    return [pair for pair, _, _ in peak_pairs(views, order)]
 
 
 def linear_critical_pairs(eqs: Eqns, rules: Rules,
@@ -218,4 +238,4 @@ def linear_critical_pairs(eqs: Eqns, rules: Rules,
     themselves, before instantiation).
     """
     views = _rule_views(rules) + _equation_views(eqs)
-    return [pair for pair, _ in peak_pairs(views, order, linear=True)]
+    return [pair for pair, _, _ in peak_pairs(views, order, linear=True)]

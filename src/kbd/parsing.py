@@ -143,12 +143,22 @@ class ProblemFile:
     def is_var(self, name: str) -> bool:
         """Trace terms may carry primed or numbered copies of variables;
         a function symbol of the problem is never read as one."""
-        if name in self.var_names:
-            return True
-        if name in self.signature().arities:
-            return False
-        return name.rstrip("'") in self.var_names or \
-            (name[:1] == "x" and name[1:].isdigit())
+        return self.var_test()(name)
+
+    def var_test(self) -> Callable[[str], bool]:
+        """:meth:`is_var` with the problem's names gathered once, for
+        reading a whole trace."""
+        declared = set(self.var_names)
+        symbols = self.signature().arities
+
+        def is_var(name: str) -> bool:
+            if name in declared:
+                return True
+            if name in symbols:
+                return False
+            return name.rstrip("'") in declared or \
+                (name[:1] == "x" and name[1:].isdigit())
+        return is_var
 
 
 def parse_problem(text: str, string_mode: bool = False) -> ProblemFile:

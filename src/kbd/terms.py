@@ -99,9 +99,18 @@ def postorder_positions(t: Term) -> list[Position]:
     return out
 
 
-def fun_positions(t: Term) -> list[Position]:
-    """Positions of ``t`` whose subterm is a function application."""
-    return [p for p in positions(t) if isinstance(subterm_at(t, p), Fun)]
+def fun_sites(t: Term) -> list[tuple[Position, str]]:
+    """``(pos, symbol)`` for each position of ``t`` whose subterm is a
+    function application with root ``symbol``, in preorder."""
+    out: list[tuple[Position, str]] = []
+    stack: list[tuple[Position, Term]] = [((), t)]
+    while stack:
+        pos, u = stack.pop()
+        if isinstance(u, Fun):
+            out.append((pos, u.symbol))
+            for i in range(len(u.args), 0, -1):
+                stack.append((pos + (i,), u.args[i - 1]))
+    return out
 
 
 def subterm_at(t: Term, pos: Position) -> Term:
@@ -159,11 +168,13 @@ def match(pattern: Term, subject: Term,
     """Substitution with ``pattern * sigma == subject``, or None.
 
     The optional ``sigma`` argument pre-seeds bindings (it is not mutated).
+    The loop descends into the first argument of each application and
+    keeps only the other argument pairs for later.
     """
     out = dict(sigma) if sigma else {}
-    stack = [(pattern, subject)]
-    while stack:
-        p, s = stack.pop()
+    pending: list[tuple[Term, Term]] = []
+    p, s = pattern, subject
+    while True:
         if isinstance(p, Var):
             bound = out.get(p.name)
             if bound is None:
@@ -173,9 +184,17 @@ def match(pattern: Term, subject: Term,
         elif isinstance(s, Var) or p.symbol != s.symbol \
                 or len(p.args) != len(s.args):
             return None
-        else:
-            stack.extend(zip(p.args, s.args))
-    return out
+        elif p.args:
+            pargs, sargs = p.args, s.args
+            if len(pargs) == 2:
+                pending.append((pargs[1], sargs[1]))
+            elif len(pargs) > 2:
+                pending.extend(zip(pargs[1:], sargs[1:]))
+            p, s = pargs[0], sargs[0]
+            continue
+        if not pending:
+            return out
+        p, s = pending.pop()
 
 
 def same(s: Term, t: Term) -> bool:

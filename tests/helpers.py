@@ -3,13 +3,14 @@
 import itertools
 from typing import NamedTuple
 
-from kbd.critical_pairs import dedup_pairs, pair_overlaps
+from kbd.critical_pairs import _linear_condition, _overlap, dedup_pairs
 from kbd.orders import OrderSpec, Precedence, lex_ext, lpo_gt
 from kbd.rewriting import (_equation_views, _rule_views, all_steps,
                            innermost_redex, is_normal_form, joinable,
                            normalize, ordered_step)
 from kbd.terms import (Equation, Fun, Rule, Var, apply_subst, is_ground,
-                       occurs, proper_subterms, size, subterms, variables)
+                       occurs, positions, proper_subterms, rename_apart,
+                       size, subterm_at, subterms, variables)
 
 # -- term generation ---------------------------------------------------
 
@@ -225,6 +226,44 @@ def eager_unify(s, t):
     return unifier
 
 
+def stack_match(pattern, subject, sigma=None):
+    """The matcher that pushes every argument pair of each application
+    on a stack and takes them back last first."""
+    out = dict(sigma) if sigma else {}
+    stack = [(pattern, subject)]
+    while stack:
+        p, s = stack.pop()
+        if isinstance(p, Var):
+            bound = out.get(p.name)
+            if bound is None:
+                out[p.name] = s
+            elif bound != s:
+                return None
+        elif isinstance(s, Var) or p.symbol != s.symbol \
+                or len(p.args) != len(s.args):
+            return None
+        else:
+            stack.extend(zip(p.args, s.args))
+    return out
+
+
+def every_site_overlaps(outer, inner, order=None, linear=False):
+    """The overlaps of a renamed-apart ``inner`` into ``outer``, tried at
+    every function position of ``outer.lhs`` whatever its symbol, with the
+    linear condition judged on the renamed participants once the overlaps
+    are built."""
+    inner = rename_apart(outer, inner)
+    out = []
+    for pos in positions(outer.lhs):
+        if isinstance(subterm_at(outer.lhs, pos), Fun):
+            o = _overlap(outer, inner, pos, order)
+            if o is not None:
+                out.append(o)
+    if linear and out and not _linear_condition(inner, outer, order):
+        return []
+    return out
+
+
 def stepwise_normal_form(t, candidates, order, fuel):
     """The normal form by repeated leftmost-innermost steps, each searched
     from the root, and the step count; None past ``fuel`` steps."""
@@ -258,7 +297,7 @@ def critical_peaks(rules, eqs=(), order=None, linear=False):
     out = []
     for outer in views:
         for inner in views:
-            for o in pair_overlaps(outer, inner, order, linear):
+            for o in every_site_overlaps(outer, inner, order, linear):
                 pair = o.pair
                 prime = all(ordered_step(eqs, rules, order, u) is None
                             for u in proper_subterms(o.redex))

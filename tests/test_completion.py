@@ -44,6 +44,19 @@ class TestApplyInference:
                         "kbf", lpo([("a", "b")]))
         assert state.R == [Rule(a, b)]
 
+    def test_orient_adds_a_rule_unless_a_variant_is_in_r(self):
+        order = lpo([("f", "a"), ("a", "b")])
+        state = RunState.start([Equation(f(y), a), Equation(f(y), b)],
+                               [Rule(f(x), a)])
+        copy = state.copy()
+        for s in (state, copy):
+            apply_inference(s, Inference("orient", equation=Equation(f(y), a)),
+                            "kbf", order)
+            assert s.R == [Rule(f(x), a)]
+            apply_inference(s, Inference("orient", equation=Equation(f(y), b)),
+                            "kbf", order)
+            assert s.R == [Rule(f(x), a), Rule(f(y), b)]
+
     def test_orient_wrong_direction_rejected(self):
         state = RunState.start([Equation(b, a)], [])
         with pytest.raises(SideConditionError):

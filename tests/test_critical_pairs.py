@@ -17,7 +17,7 @@ from kbd.rewriting import _equation_views, _rule_views
 from kbd.terms import (Equation, Fun, Rule, Var, canonical_pair,
                        equation_variants, pair_variants, variables)
 
-from helpers import reference_pairs
+from helpers import every_site_overlaps, reference_pairs
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -114,9 +114,10 @@ class TestPrimeCriticalPairs:
         # argument a -> a reduces; a -> a into f(a) at 1 contracts a
         views = _rule_views(PCPEX)
         every = list(peak_pairs(views, prime=False))
-        assert {peak.pos for _, peak in every} == {(), (1,)}
-        assert list(peak_pairs(views)) == [(pair, peak) for pair, peak
-                                           in every if peak.pos != ()]
+        assert {peak.pos for _, peak, _ in every} == {(), (1,)}
+        assert list(peak_pairs(views)) == [(pair, peak, key)
+                                           for pair, peak, key in every
+                                           if peak.pos != ()]
 
 
 def lpo(*chain):
@@ -220,7 +221,7 @@ def test_peak_pairs_match_reference(rules, eqs, order):
     assert linear_critical_pairs(eqs, rules, order) == \
         reference_pairs(rules, eqs, order, linear=True)
     views = _rule_views(rules) + _equation_views(eqs)
-    assert [pair for pair, _ in peak_pairs(views, order, prime=False)] == \
+    assert [pair for pair, _, _ in peak_pairs(views, order, prime=False)] == \
         reference_pairs(rules, eqs, order, prime=False)
     # overlaps cached from a scan of other views give the same scan
     cache = OverlapCache()
@@ -228,3 +229,17 @@ def test_peak_pairs_match_reference(rules, eqs, order):
                     cache=cache))
     assert list(peak_pairs(views, order, cache=cache)) == \
         list(peak_pairs(views, order))
+
+
+VIEWS = st.one_of(RULES, st.builds(Equation, TERMS, TERMS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(outer=VIEWS, inner=VIEWS, order=ORDERS, linear=st.booleans())
+def test_pair_overlaps_equal_every_site_search(outer, inner, order, linear):
+    """Trying only the positions of the inner root symbol, and judging the
+    linear condition before renaming, finds the same overlaps as trying
+    every function position and judging it after."""
+    assert pair_overlaps(outer, inner) == every_site_overlaps(outer, inner)
+    assert pair_overlaps(outer, inner, order, linear) == \
+        every_site_overlaps(outer, inner, order, linear)

@@ -17,14 +17,17 @@ from hypothesis import strategies as st
 
 from kbd.cli import parse_precedence
 from kbd.completion import (Inference, Peak, RunState, SideConditionError,
-                            _Driver, apply_inference, is_linear, replay,
-                            run_kbf, run_kbg, run_kbi, single_step_connects)
+                            _Driver, _peak_views, apply_inference, is_linear,
+                            replay, run_kbf, run_kbg, run_kbi,
+                            single_step_connects)
+from kbd.critical_pairs import peak_pairs
 from kbd.ordered import _OrderedDriver, run_kbl, run_kbo
 from kbd.orders import KboWeights, OrderSpec, Precedence
 from kbd.parsing import ProblemFile, format_trace, parse_problem, parse_trace
 from kbd.rewriting import _equation_views, normalize, ordered_normalize
-from kbd.terms import (Equation, Fun, Rule, Var, apply_subst, match,
-                       pair_variants, positions, replace_at, subterm_at)
+from kbd.terms import (Equation, Fun, Rule, Var, apply_subst,
+                       canonical_pair, match, pair_variants, positions,
+                       replace_at, subterm_at)
 
 from helpers import reference_pairs
 
@@ -298,3 +301,84 @@ def test_gap_matches_public_critical_pairs(monkeypatch, name, engine, order,
     monkeypatch.setattr(cls, "fairness_gap", checked)
     engine(load(name).equations, order, fuel)
     assert len(scans) >= 2 and any(scans)
+
+
+def memo_free_gap(driver):
+    """The fairness gap of ``driver``'s state computed from scratch: a
+    fresh enumeration, fresh variant keys of the pairs and of e_union,
+    and every coverage test run again."""
+    calc, state = driver.calculus, driver.state
+    order = driver.order if calc.ordered else None
+    views = _equation_views(state.e_union)
+    recorded = {canonical_pair(e) for e in state.e_union} | \
+        {canonical_pair(e.reversed()) for e in state.e_union}
+    return [(eq, peak) for eq, peak, _ in
+            peak_pairs(_peak_views(state, calc), order, calc.linear)
+            if not (eq.is_trivial()
+                    or calc.ordered and canonical_pair(eq) in recorded
+                    or driver.joins(eq.lhs, eq.rhs)
+                    or single_step_connects(views, eq.lhs, eq.rhs))]
+
+
+class ScanCheckedDriver(_Driver):
+    """A driver that checks every fairness scan against
+    :func:`memo_free_gap`, and keeps the size of each gap."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.scans = []
+
+    def fairness_gap(self):
+        gap = super().fairness_gap()
+        assert gap == memo_free_gap(self)
+        self.scans.append(len(gap))
+        return gap
+
+
+@pytest.mark.parametrize("variant", ["kbf", "kbi", "kbo", "kbl"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), prec=st.permutations(["f", "g", "a", "b"]),
+       fuel=st.integers(0, 40))
+def test_scan_memos_give_the_memo_free_gap(variant, data, prec, fuel):
+    """The overlaps' variant keys, the connected pairs and the sites kept
+    from scan to scan leave every gap as a scan from scratch finds it."""
+    _, equation = RANDOM_RUNS[variant]
+    eqs = data.draw(st.lists(equation, min_size=1, max_size=3))
+    order = OrderSpec("lpo", Precedence.total(prec))
+    ScanCheckedDriver(eqs, order, variant, fuel).run()
+
+
+def test_joins_is_tested_again_on_every_scan():
+    """A pair that joins on one scan can be in the gap of a later one
+    (here after collapses), so joining is the one test that is not kept
+    from scan to scan."""
+    x, y, a = Var("x"), Var("y"), Fun("a")
+    f, g = (lambda s, t: Fun("f", (s, t))), (lambda t: Fun("g", (t,)))
+    eqs = [Equation(a, g(g(y))), Equation(a, f(x, g(g(x)))),
+           Equation(g(g(f(x, a))), f(g(x), y))]
+    joined, reappeared = set(), []
+
+    class Probe(ScanCheckedDriver):
+        def joins(self, s, t):
+            out = super().joins(s, t)
+            if out:
+                joined.add(Equation(s, t))
+            return out
+
+        def fairness_gap(self):
+            gap = super().fairness_gap()
+            reappeared.extend(eq for eq, _ in gap if eq in joined)
+            return gap
+
+    Probe(eqs, OrderSpec("lpo", Precedence.total(["f", "a", "b", "g"])),
+          "kbf", 40).run()
+    assert reappeared
+
+
+def test_devie_scans_give_the_memo_free_gap():
+    """A longer kbf run than the random ones, whose scans meet many pairs
+    connected or deduced on earlier scans."""
+    driver = ScanCheckedDriver(load("devie.es").equations,
+                               lpo("i1>i2>f1>f2>g1>g2>h1>h2>a"), "kbf", 80)
+    driver.run()
+    assert len(driver.scans) >= 2 and any(driver.scans)

@@ -13,7 +13,7 @@ from kbd.terms import (Equation, Fun, InvalidPosition, Rule, Signature, Var,
                        size, subterm_at, subterms, unify, var_count,
                        variables)
 
-from helpers import GROUND_SIG, eager_unify, random_term
+from helpers import GROUND_SIG, eager_unify, random_term, stack_match
 
 x, y, z = Var("x"), Var("y"), Var("z")
 a, b, c = Fun("a"), Fun("b"), Fun("c")
@@ -155,6 +155,32 @@ def test_unify_equals_the_eager_unifier(s, t, data):
         TERMS, TERMS))
     assert unify(s, u) == eager_unify(s, u)
     assert unify(u, s) == eager_unify(u, s)
+
+
+MATCH_TERMS = st.recursive(
+    st.sampled_from([x, y, z, a]), lambda kids: st.one_of(
+        st.builds(g, kids), st.builds(f, kids, kids),
+        st.builds(lambda r, s, t: Fun("h", (r, s, t)), kids, kids, kids)),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=MATCH_TERMS, s=MATCH_TERMS, data=st.data())
+def test_match_equals_the_stack_matcher(p, s, data):
+    """Patterns over unary, binary and ternary symbols, non-linear and
+    variable ones among them, against random subjects, instances of the
+    pattern, and with a seeded substitution."""
+    assert match(p, s) == stack_match(p, s)
+    u = data.draw(st.builds(
+        lambda q, r: apply_subst({"x": q, "y": r}, p), MATCH_TERMS,
+        MATCH_TERMS))
+    assert match(p, u) == stack_match(p, u)
+    sigma = data.draw(st.dictionaries(st.sampled_from(["x", "y", "z"]),
+                                      MATCH_TERMS, max_size=2))
+    seeded = dict(sigma)
+    for subject in (s, u):
+        assert match(p, subject, sigma) == stack_match(p, subject, sigma)
+    assert sigma == seeded
 
 
 class TestEncompassment:

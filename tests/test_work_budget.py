@@ -1,0 +1,65 @@
+"""Work budgets of the fairness scan on the diverging benchmark commands.
+
+Each command runs from the fixture copy of its problem, with the fuel
+cap of its benchmark case, and the calls of two functions are counted:
+``critical_pairs._overlap``, one unification attempt of the overlap
+search, and ``_Driver.joins``, one normalization of a critical pair.
+Both counts are deterministic (the same under every ``PYTHONHASHSEED``),
+and each bound sits about 25% above the count of the search that tries
+only the sites of the inner root symbol, rejects a linear pair before
+unifying, and keeps the pairs that one step with a recorded equation
+connects.  Searching every function position, or joining every pair on
+every scan, exceeds the bounds several times over.
+"""
+
+import contextlib
+import io
+import os
+
+import pytest
+
+from kbd import critical_pairs
+from kbd.cli import entry
+from kbd.completion import _Driver
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+DEVIE = ("complete", "devie.es", "--prec", "i1>i2>f1>f2>g1>g2>h1>h2>a",
+         "--fuel", "80")
+COMM_KBL = ("complete-linear", "comm.es", "--prec", "+>s>0", "--fuel", "50")
+BRAID = ("complete-inf", "braid.str", "--string", "--order", "kbo",
+         "--prec", "a>b", "--fuel", "700")
+
+
+def counted_run(monkeypatch, argv):
+    """Run ``kbd argv`` on the fixture copy of its problem; the exit code
+    and the calls of ``_overlap`` and ``joins``."""
+    calls = {"_overlap": 0, "joins": 0}
+    overlap, joins = critical_pairs._overlap, _Driver.joins
+
+    def counted_overlap(*args):
+        calls["_overlap"] += 1
+        return overlap(*args)
+
+    def counted_joins(*args):
+        calls["joins"] += 1
+        return joins(*args)
+
+    monkeypatch.setattr(critical_pairs, "_overlap", counted_overlap)
+    monkeypatch.setattr(_Driver, "joins", counted_joins)
+    argv = [argv[0], os.path.join(FIXTURES, argv[1])] + list(argv[2:])
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = entry(argv)
+    return code, calls
+
+
+@pytest.mark.parametrize("argv, counted, bound", [
+    (COMM_KBL, "_overlap", 600),
+    (DEVIE, "_overlap", 750),
+    (DEVIE, "joins", 250),
+    (BRAID, "joins", 200),
+], ids=["comm_kbl-overlap", "devie-overlap", "devie-joins", "braid-joins"])
+def test_scan_work_within_budget(monkeypatch, argv, counted, bound):
+    code, calls = counted_run(monkeypatch, argv)
+    assert code == 2  # out of fuel, at the benchmark's cap
+    assert calls[counted] <= bound, calls
