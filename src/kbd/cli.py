@@ -323,6 +323,8 @@ def cmd_replay(args) -> int:
     except SideConditionError as e:
         print("FAIL (%s)" % e)
         return EXIT_NO
+    except ValueError as e:
+        raise CliError(str(e), EXIT_MAYBE)
     print("SUCCESS")
     out = show_system(state.R, state.E, args.string)
     if out:

@@ -25,13 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .critical_pairs import OverlapCache, Peak, overlap_at, peak_pairs
+from .critical_pairs import OverlapCache, Peak, pair_overlaps, peak_pairs
 from .orders import OrderSpec
 from .rewriting import (_contractions, _equation_views, _format_ref,
                         _normal_form, _rule_views, conversion_oracle,
                         innermost_redex)
-from .terms import (Equation, Fun, InvalidPosition, Position, Rule, Term,
-                    Var, canonical_pair, replace_at, size, subterm_at,
+from .terms import (Equation, Fun, InvalidPosition, Position, Rule, RuleLike,
+                    Term, Var, canonical_pair, replace_at, size, subterm_at,
                     subterms, variables)
 
 
@@ -43,13 +43,14 @@ class SideConditionError(Exception):
 class Calculus:
     """The side conditions of one instance of the completion calculus."""
 
-    deduces: bool = True          # deduce is an inference of the calculus
+    deduces: bool = True          # has deduce; without it, ground input
     ordered: bool = False         # peaks over E± ∪ R under the ordering
                                   # conditions; a run never fails
     equation_steps: bool = False  # simplify, compose and collapse may use
                                   # decreasing equation instances
     encompassing: bool = False    # collapse needs proper encompassment
-    linear: bool = False          # deduce adds linear equations only
+    linear: bool = False          # linear input, linear condition on
+                                  # peaks, linear deduced equations
     composes: bool = False        # the engine composes while interreducing
                                   # (a strategy, not a side condition)
     deduce_word: str = "deduce"   # starts a deduce line in traces
@@ -136,6 +137,17 @@ def is_linear(t: Term) -> bool:
     return len(names) == len(set(names))
 
 
+def _check_input(calc: Calculus, eqs: Sequence[RuleLike]):
+    """Raise ValueError unless the engines and replay may start from
+    ``eqs``, equations or rules: ground without deduce, linear if linear."""
+    for eq in eqs:
+        if not calc.deduces and (variables(eq.lhs) or variables(eq.rhs)):
+            raise ValueError("ground completion needs ground equations: %s"
+                             % eq)
+        if calc.linear and not (is_linear(eq.lhs) and is_linear(eq.rhs)):
+            raise ValueError("linear completion needs linear input: %s" % eq)
+
+
 def _find_equation(state: RunState, eq: Equation) -> int:
     for i, e in enumerate(state.E):
         if e == eq:
@@ -185,16 +197,6 @@ def _peak_views(state: RunState, calc: Calculus) -> list:
     return views + _equation_views(state.E) if calc.ordered else views
 
 
-def _view(groups, kind: str, ref):
-    """The view that ``ref`` names among ``groups`` of ``(views, flag)``,
-    with its group's flag; a ``kind`` step may use no other."""
-    for views, flag in groups:
-        view = dict(views).get(ref)
-        if view is not None:
-            return view, flag
-    raise SideConditionError("%s may not use %s" % (kind, _format_ref(ref)))
-
-
 def _rewrite_with_ref(state: RunState, calc: Calculus, kind: str, own,
                       term: Term, pos: Position, ref,
                       order: OrderSpec) -> Term:
@@ -203,7 +205,13 @@ def _rewrite_with_ref(state: RunState, calc: Calculus, kind: str, own,
     be among the views the engine searches for this step
     (:func:`_rewrite_views`), under its group's encompassment demand; an
     equation instance must be decreasing."""
-    view, encompass = _view(_rewrite_views(state, calc, kind, own), kind, ref)
+    for views, encompass in _rewrite_views(state, calc, kind, own):
+        view = dict(views).get(ref)
+        if view is not None:
+            break
+    else:
+        raise SideConditionError("%s may not use %s"
+                                 % (kind, _format_ref(ref)))
     hit = next(_contractions(_subterm(term, pos), [(ref, view)],
                              order, term if encompass else None), None)
     if hit is None:
@@ -218,21 +226,24 @@ def _check_peak(state: RunState, calc: Calculus, eq: Equation, peak: Peak,
                 order: OrderSpec):
     """``eq`` must be, up to variants, the critical pair of the named peak,
     whose participants are among the peak views (:func:`_peak_views`).
-
-    In the ordered calculi the overlap must meet the ordering conditions
-    of extended critical pairs.
-    """
-    groups = [(_peak_views(state, calc), None)]
-    outer, _ = _view(groups, "deduce", peak.outer)
-    inner, _ = _view(groups, "deduce", peak.inner)
-    _subterm(outer.lhs, peak.pos)
-    o = overlap_at(outer, inner, peak.pos, order if calc.ordered else None)
-    if o is None:
+    The engine's overlap search, :func:`pair_overlaps`, looks at the named
+    position only, under the calculus's ordering and linear conditions."""
+    views = dict(_peak_views(state, calc))
+    for ref in (peak.outer, peak.inner):
+        if ref not in views:
+            raise SideConditionError("deduce may not use %s"
+                                     % _format_ref(ref))
+    outer, inner = views[peak.outer], views[peak.inner]
+    site = _subterm(outer.lhs, peak.pos)
+    sites = [(peak.pos, site.symbol)] if isinstance(site, Fun) else []
+    found = pair_overlaps(outer, inner, order if calc.ordered else None,
+                          calc.linear, sites)
+    if not found:
         raise SideConditionError("%s does not overlap %s at position %r"
                                  % (inner, outer, peak.pos))
-    if o.key not in (canonical_pair(eq), canonical_pair(eq.reversed())):
-        raise SideConditionError("the peak yields %s, not %s"
-                                 % (o.pair, eq))
+    _, pair, _, key = found[0]
+    if key not in (canonical_pair(eq), canonical_pair(eq.reversed())):
+        raise SideConditionError("the peak yields %s, not %s" % (pair, eq))
 
 
 def _deduce_ok(state: RunState, calc: Calculus, eq: Equation,
@@ -373,6 +384,7 @@ class _Driver:
         self.order = order
         self.variant = variant
         self.calculus = calculus(variant)
+        _check_input(self.calculus, self.state.E)
         self.fuel = fuel
         self.trace: list[Inference] = []
         self.parked: set[Equation] = set()
@@ -594,10 +606,6 @@ def run_kbg(eqs: Sequence[Equation], order: OrderSpec,
     """Ground completion: terminates on every ground input with a ground-
     total reduction order, producing the canonical presentation; ``fuel``
     may still cap the number of inferences."""
-    for eq in eqs:
-        if variables(eq.lhs) or variables(eq.rhs):
-            raise ValueError("ground completion needs ground equations: %s"
-                             % eq)
     return _Driver(eqs, order, "kbg", fuel).run()
 
 
@@ -611,8 +619,10 @@ def run_kbi(eqs: Sequence[Equation], order: OrderSpec,
 def replay(eqs: Sequence[Equation], rules: Sequence[Rule],
            script: Sequence[Inference], variant: str,
            order: OrderSpec) -> RunState:
-    """Re-run a recorded trace, checking every side condition."""
+    """Re-run a recorded trace, checking the input and every side
+    condition."""
     state = RunState.start(eqs, rules)
+    _check_input(calculus(variant), state.E + state.R)
     for inf in script:
         apply_inference(state, inf, variant, order)
     return state

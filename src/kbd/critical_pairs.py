@@ -7,14 +7,15 @@ systems joinability of the prime critical pairs already decides local
 confluence.  Extended critical pairs generalize both notions to ordered
 rewriting with a mix of rules and (possibly unorientable) equations.
 
-One enumeration, :func:`peak_pairs`, lists the critical pairs of a list
-of views (the rules, and in the ordered calculi each equation read both
-ways), each with the first :class:`Peak` that yields it.  The completion
-engines scan with it, keeping each pair of views' overlaps for a whole
-run in an :class:`OverlapCache`; replay checks a deduce that names no
-peak against it; and CP, PCP and the extended and linear critical pairs
-are one-liners over it.  Plain completion is the case of rule views and
-no order.
+One overlap search, :func:`pair_overlaps`, serves the engines' scans,
+through :func:`peak_pairs`, and replay's check of a named peak, at that
+one position.  :func:`peak_pairs` lists the critical pairs of a list of
+views (the rules, and in the ordered calculi each equation read both
+ways), each with the first :class:`Peak` that yields it, keeping each
+pair of views' overlaps for a whole run in an :class:`OverlapCache`.
+Replay checks a deduce that names no peak against it, and CP, PCP and
+the extended and linear critical pairs are one-liners over it.  Plain
+completion is the case of rule views and no order.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .orders import OrderSpec
 from .rewriting import (Eqns, Rules, _equation_views, _rule_views,
                         innermost_redex)
-from .terms import (Equation, Fun, Position, RuleLike, Term, Var,
-                    apply_subst, canonical_pair, fun_sites, pair_variants,
-                    rename_apart, replace_at, subterm_at, unify)
+from .terms import (Equation, Fun, Position, RuleLike, Term, apply_subst,
+                    canonical_pair, fun_sites, pair_variants, rename_apart,
+                    replace_at, subterm_at, unify)
 
 
 class Peak(NamedTuple):
@@ -96,7 +97,8 @@ def pair_overlaps(outer: RuleLike, inner: RuleLike,
     ``linear`` as well, only when one participant is oriented (see
     :func:`linear_critical_pairs`).  The result depends on ``outer`` and
     ``inner`` alone, so a completion run can compute it once per pair.
-    ``sites`` are ``fun_sites(outer.lhs)``, for a caller that keeps them.
+    ``sites``, taken from ``fun_sites(outer.lhs)``, are the positions
+    tried.
 
     Only the positions whose symbol is the root symbol of ``inner.lhs``
     can unify with it (every position, when that is a variable), and the
@@ -112,24 +114,8 @@ def pair_overlaps(outer: RuleLike, inner: RuleLike,
     if not sites or linear and not _linear_condition(inner, outer, order):
         return []
     inner = rename_apart(outer, inner)
-    out = []
-    for pos, _ in sites:
-        o = _overlap(outer, inner, pos, order)
-        if o is not None:
-            out.append(o)
-    return out
-
-
-def overlap_at(outer: RuleLike, inner: RuleLike, pos: Position,
-               order: Optional[OrderSpec] = None) -> Optional[Overlap]:
-    """The overlap of ``inner`` into ``outer`` at ``pos``, under the
-    conditions of :func:`pair_overlaps`, or None.
-
-    Raises InvalidPosition when ``pos`` is not a position of ``outer.lhs``.
-    """
-    if isinstance(subterm_at(outer.lhs, pos), Var):
-        return None
-    return _overlap(outer, rename_apart(outer, inner), pos, order)
+    found = (_overlap(outer, inner, pos, order) for pos, _ in sites)
+    return [o for o in found if o is not None]
 
 
 @dataclass

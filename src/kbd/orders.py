@@ -200,6 +200,10 @@ class OrderSpec:
         elif self.kind == "ground":
             if self.base is None:
                 raise InadmissibleOrder("ground order needs a base TRS")
+            for rule in self.base:
+                if variables(rule.lhs) or variables(rule.rhs):
+                    raise InadmissibleOrder(
+                        "ground order needs a ground base TRS: %s" % rule)
             if not self.precedence.is_total_on(list(arities)):
                 raise InadmissibleOrder(
                     "ground order needs a total precedence")

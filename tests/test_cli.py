@@ -398,6 +398,76 @@ class TestReplayDeduce:
         assert out.splitlines()[0] == "SUCCESS"
 
 
+AC = "(VAR x y z) (EQUATIONS +(x,y) == +(y,x)  +(x,+(y,z)) == +(y,+(x,z)))"
+AC_PEAK = "+(x,+(z,y)) == +(y,+(x,z)) from eq#1 fwd eq#0 fwd at 2"
+
+
+class TestReplayChecksWhatTheEngineChecks:
+    """Replay and the engines share each calculus condition: the overlap
+    search of a named peak and the conditions on the input."""
+
+    @pytest.mark.parametrize("variant, word, code, out", [
+        ("kbl", "deduce-lin", 1, "FAIL (+(x,y) == +(y,x) does not overlap "
+         "+(x,+(y,z)) == +(y,+(x,z)) at position (2,))\n"),
+        ("kbo", "deduce-ext", 0, "SUCCESS\n(EQUATIONS\n  +(x,y) == +(y,x)\n"
+         "  +(x,+(y,z)) == +(y,+(x,z))\n  %s\n)\n" % AC_PEAK.split(" from")[0]),
+    ], ids=["kbl", "kbo"])
+    def test_peak_of_two_unorientable_equations(self, capsys, tmp_path,
+                                                variant, word, code, out):
+        """Neither participant is oriented, so the peak fails kbl's linear
+        condition, while kbo deduces from it."""
+        problem = tmp_path / "ac.es"
+        problem.write_text(AC + "\n")
+        script = tmp_path / "trace"
+        script.write_text("%s %s\n" % (word, AC_PEAK))
+        assert run(capsys, "replay", str(problem), "--script", str(script),
+                   "--variant", variant, "--prec", "+>s")[:2] == (code, out)
+
+    @pytest.mark.parametrize("variant, command, reason", [
+        ("kbg", "complete-ground",
+         "ground completion needs ground equations: f(x,x) == x"),
+        ("kbl", "complete-linear",
+         "linear completion needs linear input: f(x,x) == x"),
+    ], ids=["kbg", "kbl"])
+    def test_excluded_input_is_a_failed_precondition(
+            self, capsys, tmp_path, variant, command, reason):
+        problem = tmp_path / "p.es"
+        problem.write_text("(VAR x) (EQUATIONS f(x,x) == x)\n")
+        script = tmp_path / "empty"
+        script.write_text("")
+        err = "PRECONDITION-FAILED (%s)\n" % reason
+        assert run(capsys, "replay", str(problem), "--script", str(script),
+                   "--variant", variant) == (2, "", err)
+        assert run(capsys, command, str(problem)) == (2, "", err)
+
+    def test_excluded_rule_is_a_failed_precondition(self, capsys, tmp_path):
+        problem = tmp_path / "p.trs"
+        problem.write_text("(VAR x) (RULES f(x,x) -> x)\n")
+        script = tmp_path / "empty"
+        script.write_text("")
+        assert run(capsys, "replay", str(problem), "--script", str(script),
+                   "--variant", "kbl") == \
+            (2, "", "PRECONDITION-FAILED (linear completion needs linear "
+             "input: f(x,x) -> x)\n")
+
+    @pytest.mark.parametrize("command, extra", [
+        ("replay", ("--script",)), ("decide", ("g(a,a) == a",))],
+        ids=["replay", "decide"])
+    def test_ground_derived_order_needs_a_ground_base(
+            self, capsys, tmp_path, command, extra):
+        problem = tmp_path / "p.es"
+        problem.write_text("(VAR x y) (RULES g(x,y) -> x) "
+                           "(EQUATIONS g(g(a,a),a) == g(a,y))\n")
+        script = tmp_path / "trace"
+        script.write_text("orient g(g(a,a),a) -> g(a,y)\n")
+        if command == "replay":
+            extra += (str(script),)
+        assert run(capsys, command, str(problem), *extra,
+                   "--order", "ground-derived", "--prec", "g>a") == \
+            (2, "", "PRECONDITION-FAILED (ground order needs a ground base "
+             "TRS: g(x,y) -> x)\n")
+
+
 class TestErrorsAndEnvironment:
     def test_parse_error_exit_code(self, capsys, tmp_path):
         prob = tmp_path / "bad.es"

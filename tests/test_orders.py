@@ -213,6 +213,12 @@ class TestGroundDerived:
         with pytest.raises(InadmissibleOrder):
             OrderSpec("ground", Precedence.total(["a"])).validate({"a": 0})
 
+    def test_validate_needs_ground_base(self):
+        base = self.BASE + [Rule(Fun("f", (Var("x"),)), c)]
+        spec = OrderSpec("ground", self.order().precedence, base=base)
+        with pytest.raises(InadmissibleOrder, match="ground base TRS"):
+            spec.validate({"a": 0, "b": 0, "c": 0, "f": 1})
+
 
 class TestOrderSpec:
     def test_orient(self):

@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbd.cli import parse_precedence
-from kbd.completion import (Inference, Peak, RunState, SideConditionError,
-                            _Driver, _peak_views, apply_inference, is_linear,
-                            replay, run_kbf, run_kbg, run_kbi,
-                            single_step_connects)
-from kbd.critical_pairs import peak_pairs
+from kbd.completion import (CALCULI, Inference, Peak, RunState,
+                            SideConditionError, _Driver, _peak_views,
+                            apply_inference, is_linear, replay, run_kbf,
+                            run_kbg, run_kbi, single_step_connects)
+from kbd.critical_pairs import pair_overlaps, peak_pairs
 from kbd.ordered import _OrderedDriver, run_kbl, run_kbo
 from kbd.orders import KboWeights, OrderSpec, Precedence
 from kbd.parsing import ProblemFile, format_trace, parse_problem, parse_trace
@@ -241,6 +241,45 @@ def test_random_engine_trace_roundtrips_and_replays(variant, data, prec,
     state = replay(eqs, [], script, variant, order)
     assert state.R == result.state.R
     assert state.E == result.state.E
+
+
+# unorientable under every LPO, so that kbl meets peaks of two equations,
+# which its linear condition excludes
+PERMUTATIVE = st.sampled_from(parse_problem(
+    "(VAR x y z) (EQUATIONS f(x,y) == f(y,x)  f(x,f(y,z)) == f(y,f(x,z))"
+    "  g(f(x,y)) == g(f(y,x)))").equations)
+
+
+@pytest.mark.parametrize("variant", ["kbf", "kbi", "kbo", "kbl"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), prec=st.permutations(["f", "g", "a", "b"]),
+       fuel=st.integers(0, 6))
+def test_named_peak_accepted_exactly_where_the_engine_finds_it(
+        variant, data, prec, fuel):
+    """At a state of a run, a deduce of the plain overlap of two peak
+    views at p, naming that peak, is accepted exactly when the engine's
+    overlap search, under the calculus's ordering and linear conditions,
+    yields an overlap at p."""
+    engine, equation = RANDOM_RUNS[variant]
+    eqs = data.draw(st.lists(st.one_of(equation, PERMUTATIVE),
+                             min_size=1, max_size=3))
+    order = OrderSpec("lpo", Precedence.total(prec))
+    calc = CALCULI[variant]
+    state = engine(eqs, order, fuel).state
+    views = _peak_views(state, calc)
+    for oref, outer in views:
+        for iref, inner in views:
+            kept = {o.pos for o in pair_overlaps(
+                outer, inner, order if calc.ordered else None, calc.linear)}
+            for pos, pair, _, _ in pair_overlaps(outer, inner):
+                inf = Inference("deduce", equation=pair,
+                                peak=Peak(oref, iref, pos))
+                try:
+                    apply_inference(state.copy(), inf, variant, order)
+                    accepted = True
+                except SideConditionError:
+                    accepted = False
+                assert accepted == (pos in kept)
 
 
 def plain_reference_gap(driver):

@@ -1,5 +1,6 @@
 """Source hygiene: no module of ``src/kbd`` imports a name it never uses,
-and the bench tracer's wrappers still find what they wrap in kbd.
+the bench tracer's wrappers still find what they wrap in kbd, and the
+README's table of calculi says what ``CALCULI`` says.
 
 ``__init__.py`` is left out of the import check, as its imports are the
 package's exports.
@@ -14,6 +15,9 @@ import subprocess
 import sys
 
 import pytest
+
+from kbd.cli import ENGINES
+from kbd.completion import CALCULI
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SRC = os.path.join(ROOT, "src", "kbd")
@@ -104,3 +108,28 @@ def test_bench_tracer_installs(tmp_path):
     unresolved = {name for name in report["names"]
                   if not resolves(name, report["phases"])}
     assert unresolved <= STALE
+
+
+def calculi_table() -> tuple[list[str], list[list[str]]]:
+    """The header and the rows of the README's table of calculi, each
+    cell stripped of blanks and backquotes."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    section = text.split("\n## Calculi\n", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("|")]
+    cells = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+             for line in lines]
+    return cells[0], cells[2:]
+
+
+def test_readme_calculi_table_matches_calculi():
+    header, rows = calculi_table()
+    assert header[:2] == ["command", "variant"]
+    assert header[-1] == "deduce word"
+    assert [row[1] for row in rows] == list(CALCULI)
+    for command, variant, *flags, word in rows:
+        calc = CALCULI[variant]
+        assert ENGINES[command][0] == variant
+        assert word == calc.deduce_word
+        assert flags == ["yes" if getattr(calc, name) else "no"
+                         for name in header[2:-1]]
