@@ -5,8 +5,8 @@ interreduction, word-problem decisions, a local-confluence check, and
 trace replay.  Exit status: 0 for SUCCESS/VALID/CONFLUENT, 1 for
 FAIL/INVALID/NOT-CONFLUENT, 2 for MAYBE or unmet preconditions (among
 them terms nested too deep for Python's recursion limit), 3 for usage
-and parse errors and for output cut off by a closed pipe (as in
-``kbd ... | head -1``).
+and parse errors, for a file that cannot be opened or is not UTF-8 text,
+and for output cut off by a closed pipe (as in ``kbd ... | head -1``).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import itertools
 import os
 import sys
+from contextlib import nullcontext
 from typing import Optional
 
 from .canonicity import rddot, rdot
@@ -114,14 +115,17 @@ def build_order(args, pf: ProblemFile) -> OrderSpec:
     return spec
 
 
+def read_file(path: str) -> str:
+    """The text of a file named on the command line, which must be UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise CliError("%s is not UTF-8 text (%s)" % (path, e))
+
+
 def load_problem(args) -> ProblemFile:
-    try:
-        with open(args.problem) as fh:
-            text = fh.read()
-    except OSError as e:
-        raise CliError(str(e))
-    string_mode = getattr(args, "string", False)
-    return parse_problem(text, string_mode=string_mode)
+    return parse_problem(read_file(args.problem), args.string)
 
 
 def fuel_of(args) -> int:
@@ -166,17 +170,17 @@ def cmd_complete(args) -> int:
                        EXIT_MAYBE)
     variant, engine = ENGINES[args.command]
     order = build_order(args, pf)
-    try:
-        result = engine(pf.equations, order, fuel_of(args))
-    except ValueError as e:
-        raise CliError(str(e), EXIT_MAYBE)
+    with open(args.trace, "w") if args.trace else nullcontext() as trace:
+        try:
+            result = engine(pf.equations, order, fuel_of(args))
+        except ValueError as e:
+            raise CliError(str(e), EXIT_MAYBE)
+        if trace:
+            trace.write(format_trace(result.trace, variant))
     out = show_system(result.state.R, result.state.E, args.string)
     print(result.status.upper())
     if out:
         print(out)
-    if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(format_trace(result.trace, variant))
     return {"success": EXIT_YES, "fail": EXIT_NO,
             "out-of-fuel": EXIT_MAYBE}[result.status]
 
@@ -313,11 +317,7 @@ def cmd_check_confluence(args) -> int:
 def cmd_replay(args) -> int:
     pf = load_problem(args)
     order = build_order(args, pf)
-    try:
-        with open(args.script) as fh:
-            script = parse_trace(fh.read(), pf.var_test())
-    except OSError as e:
-        raise CliError(str(e))
+    script = parse_trace(read_file(args.script), pf.var_test())
     try:
         state = replay(pf.equations, pf.rules, script, args.variant, order)
     except SideConditionError as e:
@@ -414,6 +414,10 @@ def entry(argv: Optional[list[str]] = None) -> int:
         # the reader has gone; point stdout at devnull so that the flush
         # at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    except OSError as e:
+        # a file named on the command line that cannot be opened or written
+        print("ERROR (%s)" % e, file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
         # terms are nested too deep for the recursive parts of the kernel

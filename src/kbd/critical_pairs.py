@@ -13,9 +13,8 @@ one position.  :func:`peak_pairs` lists the critical pairs of a list of
 views (the rules, and in the ordered calculi each equation read both
 ways), each with the first :class:`Peak` that yields it, keeping each
 pair of views' overlaps for a whole run in an :class:`OverlapCache`.
-Replay checks a deduce that names no peak against it, and CP, PCP and
-the extended and linear critical pairs are one-liners over it.  Plain
-completion is the case of rule views and no order.
+CP, PCP and the extended and linear critical pairs are one-liners over
+it.  Plain completion is the case of rule views and no order.
 """
 
 from __future__ import annotations
@@ -141,8 +140,7 @@ def peak_pairs(views, order: Optional[OrderSpec] = None,
                cache: Optional[OverlapCache] = None
                ) -> Iterator[tuple[Equation, Peak, tuple[Term, Term]]]:
     """The critical pairs of ``views``, each with the first peak that
-    yields it and its variant key, one at a time, so that a search for one
-    pair stops when it finds it.
+    yields it and its variant key.
 
     ``views`` are ``(ref, view)`` pairs as :func:`kbd.rewriting.
     _rule_views` and :func:`kbd.rewriting._equation_views` build them.
@@ -153,8 +151,7 @@ def peak_pairs(views, order: Optional[OrderSpec] = None,
     redex has arguments irreducible by the views (the order deciding
     which equation instances apply), since a reducible subterm makes every
     term around it reducible.  ``cache`` carries the overlaps from one
-    scan to the next, for scans with the same ``order`` and ``linear``; a
-    scan left unfinished keeps only the pairs it reached.
+    scan to the next, for scans with the same ``order`` and ``linear``.
     """
     if cache is None:
         cache = OverlapCache()

@@ -17,8 +17,7 @@ Traces record one inference per line, for example::
     compose rule#2 at e with eq#1 rev
     deduce-ext f(b) == b from eq#0 fwd rule#1 at 1
 
-A deduce may name its peak (``from <outer> <inner> at <pos>``); one
-without it is read as well, so older traces still parse.
+A deduce names the peak it comes from (``from <outer> <inner> at <pos>``).
 
 String-rewriting input is supported by expanding words into unary
 terms: the word ``aba`` becomes ``a(b(a(x)))``.
@@ -265,13 +264,10 @@ def format_inference(inf: Inference, variant: str = "kbf") -> str:
     if inf.kind == "delete":
         return "delete %s" % inf.equation
     if inf.kind == "deduce":
-        out = "%s %s" % (calculus(variant).deduce_word, inf.equation)
-        if inf.peak is not None:
-            outer, inner, pos = inf.peak
-            out += " from %s %s at %s" % (
-                _format_ref(outer), _format_ref(inner),
-                format_position(pos))
-        return out
+        outer, inner, pos = inf.peak
+        return "%s %s from %s %s at %s" % (
+            calculus(variant).deduce_word, inf.equation, _format_ref(outer),
+            _format_ref(inner), format_position(pos))
     if inf.kind == "simplify":
         return "simplify %s %s at %s with %s" % (
             inf.equation, inf.side, format_position(inf.pos or ()),
@@ -326,15 +322,15 @@ def _parse_step(ts: _Tokens, is_var: Callable[[str], bool]) -> Inference:
     if kind == "delete" or kind in _DEDUCE_WORDS:
         lhs = parse_term(ts, is_var)
         ts.expect("==")
-        rhs = parse_term(ts, is_var)
-        peak = None
-        if kind != "delete" and not ts.done():
-            ts.expect("from")
-            outer, inner = _parse_ref(ts), _parse_ref(ts)
-            ts.expect("at")
-            peak = Peak(outer, inner, parse_position(ts.next()))
-        return Inference("delete" if kind == "delete" else "deduce",
-                         equation=Equation(lhs, rhs), peak=peak)
+        eq = Equation(lhs, parse_term(ts, is_var))
+        if kind == "delete":
+            return Inference("delete", equation=eq)
+        if ts.done() or ts.next() != "from":
+            raise ParseError("a deduce needs 'from <outer> <inner> at <pos>'")
+        outer, inner = _parse_ref(ts), _parse_ref(ts)
+        ts.expect("at")
+        return Inference("deduce", equation=eq,
+                         peak=Peak(outer, inner, parse_position(ts.next())))
     if kind == "simplify":
         lhs = parse_term(ts, is_var)
         ts.expect("==")

@@ -231,16 +231,15 @@ def ordered_normalize(eqs: Eqns, rules: Rules, order: OrderSpec, t: Term,
     return None if nf is None else nf[0]
 
 
-def conversion_oracle(pairs: Sequence, s: Term, t: Term, depth: int = 4,
-                      size_cap: Optional[int] = None) -> bool:
+def conversion_oracle(pairs: Sequence, s: Term, t: Term,
+                      depth: int = 4) -> bool:
     """Is there an equational proof s <->* t of at most ``depth`` steps?
 
     ``pairs`` may mix rules and equations; all are used in both directions.
-    Intermediate terms larger than ``max(|s|,|t|) + depth`` (or the given
-    ``size_cap``) are pruned, which keeps the search finite but may miss
-    long detours.
+    Intermediate terms larger than ``max(|s|,|t|) + depth`` are pruned,
+    which keeps the search finite but may miss long detours.
     """
-    cap = size_cap if size_cap is not None else max(size(s), size(t)) + depth
+    cap = max(size(s), size(t)) + depth
     views = _equation_views([Equation(p.lhs, p.rhs) for p in pairs])
     seen = {s}
     frontier = [s]

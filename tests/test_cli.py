@@ -121,7 +121,7 @@ class TestComplete:
          "compose may not use rule#0"),
         ("deduce f(b) == b from eq#0 fwd rule#0 at 1", "kbf",
          "deduce may not use eq#0 fwd"),
-        ("deduce-lin g(x,x) == x", "kbl",
+        ("deduce-lin g(x,x) == x from rule#0 rule#0 at e", "kbl",
          "linear completion deduces only linear equations: g(x,x) == x"),
     ], ids=["position", "peak-position", "inner-ref", "outer-ref",
             "no-equation", "no-equation-steps", "own-rule",
@@ -372,26 +372,30 @@ class TestCheckConfluence:
 
 
 class TestReplayDeduce:
-    """A deduce without ``from`` must come from a peak, not a valley."""
+    """A deduce names its peak, and the peak must overlap: a valley named
+    as a peak fails, and a line without ``from`` is a parse error."""
 
     @pytest.mark.parametrize("variant, word", [
         ("kbf", "deduce"), ("kbi", "deduce"), ("kbo", "deduce-ext")])
     def test_valley_rejected(self, capsys, tmp_path, variant, word):
         problem = tmp_path / "valley.trs"
         problem.write_text("(RULES\n  a -> b\n  c -> b\n)\n")
-        script = tmp_path / "trace"
-        script.write_text("%s a == c\n" % word)
         code, out, _ = run(capsys, "pcps", str(problem))
         assert (code, out) == (0, "")
-        code, out, _ = run(capsys, "replay", str(problem), "--script",
-                           str(script), "--variant", variant,
-                           "--prec", "a>c>b")
-        assert code == 1
-        assert out == "FAIL (no peak yields a == c)\n"
+        script = tmp_path / "trace"
+        argv = ("replay", str(problem), "--script", str(script),
+                "--variant", variant, "--prec", "a>c>b")
+        script.write_text("%s a == c\n" % word)
+        assert run(capsys, *argv) == \
+            (3, "", "PARSE-ERROR (line 1: a deduce needs "
+             "'from <outer> <inner> at <pos>')\n")
+        script.write_text("%s a == c from rule#0 rule#1 at e\n" % word)
+        assert run(capsys, *argv)[:2] == \
+            (1, "FAIL (c -> b does not overlap a -> b at position ())\n")
 
     def test_critical_pair_accepted(self, capsys, tmp_path):
         script = tmp_path / "trace"
-        script.write_text("deduce f(a) == c\n")
+        script.write_text("deduce f(a) == c from rule#1 rule#2 at 1\n")
         code, out, _ = run(capsys, "replay", fixture("pcpex.trs"),
                            "--script", str(script), "--prec", "f>a>b>c")
         assert code == 0
@@ -479,6 +483,35 @@ class TestErrorsAndEnvironment:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "complete", fixture("no-such-file.es"))
         assert code == 3
+
+    def file_error(self, capsys, path, *argv):
+        """Run ``kbd argv``, which must fail on ``path`` with exit 3 and
+        one line on stderr, printing nothing else."""
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("ERROR (") and str(path) in err
+        assert err.count("\n") == 1
+
+    def test_trace_in_missing_directory(self, capsys, tmp_path):
+        """The trace file is opened before the run, so nothing is printed
+        but the error."""
+        trace = tmp_path / "no-such-dir" / "t"
+        self.file_error(capsys, trace, "complete", fixture("strategy.es"),
+                        "--prec", "a>b>d,a>c>d", "--trace", str(trace))
+
+    def test_trace_path_is_a_directory(self, capsys, tmp_path):
+        self.file_error(capsys, tmp_path, "complete", fixture("strategy.es"),
+                        "--prec", "a>b>d,a>c>d", "--trace", str(tmp_path))
+
+    @pytest.mark.parametrize("bad", ["problem", "script"])
+    def test_input_that_is_not_utf8(self, capsys, tmp_path, bad):
+        files = {"problem": tmp_path / "p.es", "script": tmp_path / "t"}
+        files["problem"].write_text("(EQUATIONS a == b)\n")
+        files["script"].write_text("orient a -> b\n")
+        files[bad].write_bytes(b"\xff\n")
+        self.file_error(capsys, "%s is not UTF-8 text (" % files[bad],
+                        "replay", str(files["problem"]),
+                        "--script", str(files["script"]))
 
     def test_bad_precedence_flag(self, capsys):
         code, _, err = run(capsys, "complete", fixture("single.es"),

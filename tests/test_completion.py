@@ -2,9 +2,9 @@
 
 import pytest
 
-from kbd.completion import (Inference, RunState, SideConditionError,
-                            apply_inference, replay, run_kbf, run_kbg,
-                            run_kbi)
+from kbd.completion import (CALCULI, Inference, Peak, RunState,
+                            SideConditionError, apply_inference, replay,
+                            run_kbf, run_kbg, run_kbi)
 from kbd.canonicity import is_reduced, trs_variants
 from kbd.critical_pairs import prime_critical_pairs
 from kbd.orders import OrderSpec, Precedence, KboWeights
@@ -141,29 +141,48 @@ class TestApplyInference:
     def test_deduce_critical_pair(self):
         rules = [Rule(f(a), b), Rule(a, a)]
         state = RunState.start([], rules)
-        apply_inference(state,
-                        Inference("deduce", equation=Equation(f(a), b)),
+        peak = Peak((("rule", 0), False), (("rule", 1), False), (1,))
+        apply_inference(state, Inference("deduce", equation=Equation(f(a), b),
+                                         peak=peak),
                         "kbf", lpo([]))
         assert Equation(f(a), b) in state.E
 
+    @pytest.mark.parametrize("variant", list(CALCULI))
+    def test_deduce_without_peak_rejected(self, variant):
+        # f(a) == b is the critical pair of the peak that the test above
+        # names; without its peak no variant accepts it
+        state = RunState.start([], [Rule(f(a), b), Rule(a, a)])
+        message = r"deduce names no peak: f\(a\) == b" \
+            if CALCULI[variant].deduces else "ground completion has no deduce"
+        with pytest.raises(SideConditionError, match=message):
+            apply_inference(state,
+                            Inference("deduce", equation=Equation(f(a), b)),
+                            variant, lpo([]))
+
     @pytest.mark.parametrize("variant", ["kbf", "kbi", "kbo", "kbl"])
     def test_deduce_rejects_a_valley(self, variant):
-        # a -> b <- c has no peak: a == c is no critical pair of R, and a
-        # conversion through R does not make one
+        # a -> b <- c has no peak: a == c is no critical pair of R, and the
+        # left-hand sides named as a peak do not overlap
         state = RunState.start([], [Rule(a, b), Rule(c, b)])
         assert prime_critical_pairs(state.R) == []
-        inf = Inference("deduce", equation=Equation(a, c))
-        with pytest.raises(SideConditionError):
+        inf = Inference("deduce", equation=Equation(a, c),
+                        peak=Peak((("rule", 0), False), (("rule", 1), False),
+                                  ()))
+        with pytest.raises(SideConditionError,
+                           match=r"c -> b does not overlap a -> b"):
             apply_inference(state, inf, variant,
                             lpo([("a", "c"), ("c", "b")]))
 
     def test_deduce_accepts_an_equation_peak(self):
         # a <- b -> c with equations read both ways is a peak of E±
         state = RunState.start([Equation(a, b), Equation(b, c)], [])
-        inf = Inference("deduce", equation=Equation(a, c))
-        apply_inference(state.copy(), inf, "kbo", lpo([("a", "b")]))
-        with pytest.raises(SideConditionError):
-            apply_inference(state.copy(), inf, "kbf", lpo([("a", "b")]))
+        inf = Inference("deduce", equation=Equation(a, c),
+                        peak=Peak((("eq", 1), False), (("eq", 0), True), ()))
+        order = lpo([("b", "a"), ("b", "c")])
+        apply_inference(state.copy(), inf, "kbo", order)
+        with pytest.raises(SideConditionError,
+                           match="deduce may not use eq#1 fwd"):
+            apply_inference(state.copy(), inf, "kbf", order)
 
     def test_deduce_forbidden_in_kbg(self):
         state = RunState.start([], [Rule(a, b)])

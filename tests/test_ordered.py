@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from kbd.completion import Inference, replay
+from kbd.completion import Inference, Peak, replay
 from kbd.orders import KboWeights, OrderSpec, Precedence
 from kbd.ordered import (encompass_reducible, ground_joinable, run_kbl,
                          run_kbo, simplify_ground_complete,
@@ -98,7 +98,8 @@ def okb1_script():
         Inference("orient", equation=OKB1_E[1]),
         Inference("deduce",
                   equation=Equation(times(one, plus(neg(z), z)),
-                                    plus(x, neg(x)))),
+                                    plus(x, neg(x))),
+                  peak=Peak((("rule", 1), False), (("eq", 0), True), (2,))),
         Inference("simplify",
                   equation=Equation(times(one, plus(neg(z), z)),
                                     plus(x, neg(x))),
@@ -124,10 +125,9 @@ def okb2_script():
     return [
         Inference("orient", equation=Equation(f(b), b)),
         Inference("orient", equation=Equation(g(f(b), x), g(x, b))),
-        Inference("deduce", equation=Equation(f(b), f(a))),
-        Inference("simplify", equation=Equation(f(b), f(a)),
-                  side="lhs", pos=(), ref=(("rule", 0), False)),
-        Inference("orient", equation=Equation(b, f(a)), reverse=True),
+        Inference("deduce", equation=Equation(f(a), b),
+                  peak=Peak((("eq", 0), False), (("rule", 0), False), ())),
+        Inference("orient", equation=Equation(f(a), b)),
         Inference("simplify", equation=Equation(f(x), f(a)),
                   side="rhs", pos=(), ref=(("rule", 2), False)),
         Inference("orient", equation=Equation(f(x), b)),

@@ -118,7 +118,6 @@ class TestTraceGrammar:
         Inference("orient", equation=Equation(Fun("f", (a,)), b)),
         Inference("orient", equation=Equation(a, b), reverse=True),
         Inference("delete", equation=Equation(a, a)),
-        Inference("deduce", equation=Equation(Fun("f", (x,)), x)),
         Inference("deduce", equation=Equation(Fun("f", (x,)), x),
                   peak=Peak((("rule", 2), False), (("rule", 0), False),
                             (1,))),
@@ -138,12 +137,22 @@ class TestTraceGrammar:
             assert parse_inference(line, is_var) == inf
 
     def test_variant_deduce_words(self):
-        inf = Inference("deduce", equation=Equation(a, b))
+        inf = Inference("deduce", equation=Equation(a, b),
+                        peak=Peak((("rule", 0), False), (("rule", 1), False),
+                                  ()))
         assert format_inference(inf, "kbo").startswith("deduce-ext ")
         assert format_inference(inf, "kbl").startswith("deduce-lin ")
         for variant in ("kbf", "kbo", "kbl"):
             line = format_inference(inf, variant)
             assert parse_inference(line, is_var) == inf
+
+    @pytest.mark.parametrize("line", [
+        "deduce a == b", "deduce-ext a == b", "deduce-lin a == b",
+        "deduce a == b by rule#0 rule#1 at e"])
+    def test_deduce_without_peak_is_a_parse_error(self, line):
+        with pytest.raises(ParseError, match="^line 2: a deduce needs "
+                           "'from <outer> <inner> at <pos>'$"):
+            parse_trace("delete a == a\n" + line + "\n", is_var)
 
     def test_deduce_peak_suffix(self):
         inf = parse_inference("deduce-ext a == b from eq#1 rev rule#0 at 2.1",

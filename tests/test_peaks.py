@@ -23,7 +23,8 @@ from kbd.completion import (CALCULI, Inference, Peak, RunState,
 from kbd.critical_pairs import pair_overlaps, peak_pairs
 from kbd.ordered import _OrderedDriver, run_kbl, run_kbo
 from kbd.orders import KboWeights, OrderSpec, Precedence
-from kbd.parsing import ProblemFile, format_trace, parse_problem, parse_trace
+from kbd.parsing import (ParseError, ProblemFile, format_trace,
+                         parse_problem, parse_trace)
 from kbd.rewriting import _equation_views, normalize, ordered_normalize
 from kbd.terms import (Equation, Fun, Rule, Var, apply_subst,
                        canonical_pair, match, pair_variants, positions,
@@ -88,18 +89,18 @@ def test_engine_trace_roundtrips_and_replays(k):
 
 
 @pytest.mark.parametrize("k", [6, 9], ids=["braid-kbi", "comm-kbo"])
-def test_old_format_trace_replays(k):
-    """Stripping every ``from ...`` suffix leaves a trace that the peak
-    search still accepts."""
-    _, _, variant, order, _ = ENGINE_RUNS[k]
+def test_old_format_trace_is_a_parse_error(k):
+    """Stripping every ``from ...`` suffix leaves a trace whose first
+    deduce line is a parse error that names the form it lacks."""
+    _, _, variant, _, _ = ENGINE_RUNS[k]
     pf, result = engine_run(k)
     text = "".join(line.split(" from ")[0] + "\n" for line in
                    format_trace(result.trace, variant).splitlines())
-    script = parse_trace(text, pf.is_var)
-    assert all(inf.peak is None for inf in script)
-    state = replay(pf.equations, [], script, variant, order)
-    assert state.R == result.state.R
-    assert state.E == result.state.E
+    line = 1 + next(i for i, inf in enumerate(result.trace)
+                    if inf.kind == "deduce")
+    with pytest.raises(ParseError, match="^line %d: a deduce needs 'from "
+                       "<outer> <inner> at <pos>'$" % line):
+        parse_trace(text, pf.is_var)
 
 
 def state_before_inner_deduce(k):

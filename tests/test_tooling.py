@@ -1,12 +1,14 @@
 """Source hygiene: no module of ``src/kbd`` imports a name it never uses,
-the bench tracer's wrappers still find what they wrap in kbd, and the
-README's table of calculi says what ``CALCULI`` says.
+every private function and class of ``src/kbd`` is used there, the bench
+tracer's wrappers still find what they wrap in kbd, and the README's
+table of calculi says what ``CALCULI`` says.
 
 ``__init__.py`` is left out of the import check, as its imports are the
 package's exports.
 """
 
 import ast
+import collections
 import glob
 import importlib
 import json
@@ -57,6 +59,45 @@ def test_unused_import_is_reported():
     source = "import os\nfrom typing import Optional, Sequence\n" \
              "def f(x: Optional[int]): return os.sep\n"
     assert unused_imports(source) == ["Sequence (line 2)"]
+
+
+def names_read(tree: ast.AST) -> collections.Counter:
+    """How often each name is read in ``tree``, as a variable or as an
+    attribute."""
+    return collections.Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_private_definitions(sources: list[str]) -> list[str]:
+    """The private functions and classes (``_name``, but not ``__name__``)
+    that ``sources`` define and never name outside their own definition."""
+    trees = [ast.parse(source) for source in sources]
+    read = sum((names_read(tree) for tree in trees), collections.Counter())
+    return sorted(node.name for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name.startswith("_")
+                  and not node.name.endswith("__")
+                  and read[node.name] == names_read(node)[node.name])
+
+
+def test_private_definitions_are_referenced():
+    sources = []
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path) as fh:
+            sources.append(fh.read())
+    assert unreferenced_private_definitions(sources) == []
+
+
+def test_unreferenced_private_definition_is_reported():
+    used = "def _used(): return 1\nclass _Kept: pass\n" \
+           "def __repr__(self): return ''\n"
+    other = "def f(): return _used() + len([_Kept])\n" \
+            "def _loop(n): return _loop(n - 1)\n" \
+            "class _Idle:\n    def m(self): return _Idle\n"
+    assert unreferenced_private_definitions([used, other]) == \
+        ["_Idle", "_loop"]
 
 
 # Installing the tracer patches kbd in the whole interpreter, so a fresh

@@ -63,3 +63,22 @@ def test_scan_work_within_budget(monkeypatch, argv, counted, bound):
     code, calls = counted_run(monkeypatch, argv)
     assert code == 2  # out of fuel, at the benchmark's cap
     assert calls[counted] <= bound, calls
+
+
+@pytest.mark.parametrize("argv", [DEVIE, COMM_KBL, BRAID],
+                         ids=["devie", "comm_kbl", "braid"])
+def test_steps_across_sees_each_pair_once(monkeypatch, argv):
+    """No pair reaches the one-step test twice: a pair is tested only when
+    it does not join, and it leaves the test connected, which
+    ``_Driver.connected`` keeps, or deduced.  Testing before joining would
+    see most pairs again on every scan."""
+    seen = []
+    steps_across = _Driver.steps_across
+
+    def recorded(driver, eq):
+        seen.append(eq)
+        return steps_across(driver, eq)
+
+    monkeypatch.setattr(_Driver, "steps_across", recorded)
+    assert counted_run(monkeypatch, argv)[0] == 2
+    assert seen and len(seen) == len(set(seen)), len(seen)
