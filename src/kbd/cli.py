@@ -7,6 +7,13 @@ FAIL/INVALID/NOT-CONFLUENT, 2 for MAYBE or unmet preconditions (among
 them terms nested too deep for Python's recursion limit), 3 for usage
 and parse errors, for a file that cannot be opened or is not UTF-8 text,
 and for output cut off by a closed pipe (as in ``kbd ... | head -1``).
+
+``entry`` builds the subparser of the command it is given and no other,
+since building every command's costs a cold call more than most
+completions do.  That parser's subparsers action still names every
+command as its metavar: an unrecognized argument is reported by the
+top-level parser under its usage line, which then reads as it does with
+every command.
 """
 
 from __future__ import annotations
@@ -170,7 +177,8 @@ def cmd_complete(args) -> int:
                        EXIT_MAYBE)
     variant, engine = ENGINES[args.command]
     order = build_order(args, pf)
-    with open(args.trace, "w") if args.trace else nullcontext() as trace:
+    with (open(args.trace, "w") if args.trace is not None
+          else nullcontext()) as trace:
         try:
             result = engine(pf.equations, order, fuel_of(args))
         except ValueError as e:
@@ -186,6 +194,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_cps(args) -> int:
+    fuel_of(args)  # a listing spends no fuel, but checks it as all do
     pf = load_problem(args)
     if args.command == "xcps":
         order = build_order(args, pf)
@@ -332,12 +341,42 @@ def cmd_replay(args) -> int:
     return EXIT_YES
 
 
-def make_parser() -> argparse.ArgumentParser:
+# Each command: its handler, whether it takes the order flags, and the
+# arguments of its own that follow the common ones.
+COMMANDS = {
+    **{name: (cmd_complete, True, {"--trace": dict(
+        help="write the inference trace to this file")}) for name in ENGINES},
+    "cps": (cmd_cps, True, {}),
+    "pcps": (cmd_cps, True, {}),
+    "xcps": (cmd_cps, True, {}),
+    "reduce": (cmd_reduce, False, {"--rhs-only": dict(
+        action="store_true",
+        help="normalize right-hand sides only (keep all rules)")}),
+    "reduce-ordered": (cmd_reduce_ordered, True, {}),
+    "decide": (cmd_decide, True, {"query": dict(
+        help="equation to decide, e.g. 'f(b) == a'")}),
+    "check-confluence": (cmd_check_confluence, True, {}),
+    "replay": (cmd_replay, True, {
+        "--script": dict(required=True, help="trace file to replay"),
+        "--variant": dict(default="kbf", choices=list(CALCULI))}),
+}
+
+
+def make_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of ``kbd``, with the subparser of ``command`` alone when
+    it names one, and of every command otherwise."""
     parser = argparse.ArgumentParser(
         prog="kbd", description="Knuth-Bendix completion toolbox")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, order_flags=True):
+    if command in COMMANDS:
+        names = [command]
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{%s}" % ",".join(COMMANDS))
+    else:
+        names = list(COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        fn, order_flags, own = COMMANDS[name]
+        p = sub.add_parser(name)
         p.add_argument("problem", help="problem file")
         p.add_argument("--string", action="store_true",
                        help="treat input as string rewriting words")
@@ -353,50 +392,15 @@ def make_parser() -> argparse.ArgumentParser:
                            help="weight of variables and constants floor")
             p.add_argument("--weights", default=None,
                            help='symbol weights, e.g. "f=2,g=1"')
-
-    for name in ENGINES:
-        p = sub.add_parser(name)
-        common(p)
-        p.add_argument("--trace", default=None,
-                       help="write the inference trace to this file")
-        p.set_defaults(fn=cmd_complete)
-
-    for name in ("cps", "pcps", "xcps"):
-        p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(fn=cmd_cps)
-
-    p = sub.add_parser("reduce")
-    common(p, order_flags=False)
-    p.add_argument("--rhs-only", action="store_true",
-                   help="normalize right-hand sides only (keep all rules)")
-    p.set_defaults(fn=cmd_reduce)
-
-    p = sub.add_parser("reduce-ordered")
-    common(p)
-    p.set_defaults(fn=cmd_reduce_ordered)
-
-    p = sub.add_parser("decide")
-    common(p)
-    p.add_argument("query", help="equation to decide, e.g. 'f(b) == a'")
-    p.set_defaults(fn=cmd_decide)
-
-    p = sub.add_parser("check-confluence")
-    common(p)
-    p.set_defaults(fn=cmd_check_confluence)
-
-    p = sub.add_parser("replay")
-    common(p)
-    p.add_argument("--script", required=True, help="trace file to replay")
-    p.add_argument("--variant", default="kbf",
-                   choices=list(CALCULI))
-    p.set_defaults(fn=cmd_replay)
-
+        for arg, kwargs in own.items():
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def entry(argv: Optional[list[str]] = None) -> int:
-    parser = make_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = make_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -1,12 +1,14 @@
 """End-to-end command-line tests driven through the argparse entry point."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
 
-from kbd.cli import entry
+from kbd.cli import COMMANDS, entry, make_parser
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -503,6 +505,12 @@ class TestErrorsAndEnvironment:
         self.file_error(capsys, tmp_path, "complete", fixture("strategy.es"),
                         "--prec", "a>b>d,a>c>d", "--trace", str(tmp_path))
 
+    def test_empty_trace_path(self, capsys):
+        """An empty ``--trace`` path names a file that cannot be opened; it
+        does not mean "no trace"."""
+        self.file_error(capsys, "''", "complete", fixture("strategy.es"),
+                        "--prec", "a>b>d,a>c>d", "--trace", "")
+
     @pytest.mark.parametrize("bad", ["problem", "script"])
     def test_input_that_is_not_utf8(self, capsys, tmp_path, bad):
         files = {"problem": tmp_path / "p.es", "script": tmp_path / "t"}
@@ -615,7 +623,10 @@ class TestErrorsAndEnvironment:
         ("complete", fixture("strategy.es"), "--prec", "a>b>d,a>c>d",
          "--fuel", "-3"),
         ("reduce", fixture("metivier.trs"), "--fuel", "-1"),
-    ], ids=["complete", "reduce"])
+        ("cps", fixture("pcpex.trs"), "--fuel", "-3"),
+        ("pcps", fixture("pcpex.trs"), "--fuel", "-3"),
+        ("xcps", fixture("okb1.es"), "--prec", "+>0", "--fuel", "-3"),
+    ], ids=["complete", "reduce", "cps", "pcps", "xcps"])
     def test_negative_fuel_is_rejected(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 3
@@ -659,3 +670,56 @@ class TestErrorsAndEnvironment:
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1
+
+
+def parsed(parser, argv):
+    """The exit code, stdout and stderr of ``parser.parse_args(argv)``;
+    the code is None when the arguments parse."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestOneCommandParser:
+    """``entry`` builds the subparser of the command it is given alone;
+    that parser answers every malformed call as the parser of every
+    command does, usage lines included."""
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("rest", [
+        ["-h"], [], ["p.es", "--bogus"], ["p.es", "--order", "nope"],
+        ["p.es", "--fuel", "x"], ["p.es", "q", "r", "s"],
+    ], ids=["help", "missing", "unknown-flag", "bad-order", "bad-fuel",
+            "extra"])
+    def test_same_as_full_parser(self, command, rest):
+        argv = [command] + rest
+        one = parsed(make_parser(command), argv)
+        assert one == parsed(make_parser(), argv)
+        assert one[0] in (0, 2)
+
+    def test_replay_without_script(self):
+        argv = ["replay", "p.es"]
+        one = parsed(make_parser("replay"), argv)
+        assert one == parsed(make_parser(), argv)
+        assert "the following arguments are required: --script" in one[2]
+
+    def test_no_command(self, capsys):
+        code, out, err = run(capsys)
+        assert (code, out) == (3, "")
+        assert err.endswith(
+            "kbd: error: the following arguments are required: command\n")
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        code, out, err = run(capsys, "-h")
+        assert (code, err) == (0, "")
+        assert "{%s}" % ",".join(COMMANDS) in out
+
+    def test_unknown_command(self, capsys):
+        code, out, err = run(capsys, "bogus")
+        assert (code, out) == (3, "")
+        assert "argument command: invalid choice: 'bogus'" in err

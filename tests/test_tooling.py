@@ -1,7 +1,8 @@
 """Source hygiene: no module of ``src/kbd`` imports a name it never uses,
 every private function and class of ``src/kbd`` is used there, the bench
-tracer's wrappers still find what they wrap in kbd, and the README's
-table of calculi says what ``CALCULI`` says.
+tracer's wrappers still find what they wrap in kbd, the README's table
+of calculi says what ``CALCULI`` says, and its CLI examples run every
+command.
 
 ``__init__.py`` is left out of the import check, as its imports are the
 package's exports.
@@ -18,7 +19,7 @@ import sys
 
 import pytest
 
-from kbd.cli import ENGINES
+from kbd.cli import COMMANDS, ENGINES
 from kbd.completion import CALCULI
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -151,12 +152,17 @@ def test_bench_tracer_installs(tmp_path):
     assert unresolved <= STALE
 
 
+def readme_section(title: str) -> str:
+    """The text of the README's section ``## title``."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    return text.split("\n## %s\n" % title, 1)[1].split("\n## ", 1)[0]
+
+
 def calculi_table() -> tuple[list[str], list[list[str]]]:
     """The header and the rows of the README's table of calculi, each
     cell stripped of blanks and backquotes."""
-    with open(os.path.join(ROOT, "README.md")) as fh:
-        text = fh.read()
-    section = text.split("\n## Calculi\n", 1)[1].split("\n## ", 1)[0]
+    section = readme_section("Calculi")
     lines = [line for line in section.splitlines() if line.startswith("|")]
     cells = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
              for line in lines]
@@ -174,3 +180,8 @@ def test_readme_calculi_table_matches_calculi():
         assert word == calc.deduce_word
         assert flags == ["yes" if getattr(calc, name) else "no"
                          for name in header[2:-1]]
+
+
+def test_readme_cli_block_shows_every_command():
+    block = readme_section("CLI").split("```sh\n", 1)[1].split("```", 1)[0]
+    assert [name for name in COMMANDS if "kbd %s " % name not in block] == []

@@ -10,8 +10,12 @@ only the sites of the inner root symbol, rejects a linear pair before
 unifying, and keeps the pairs that one step with a recorded equation
 connects.  Searching every function position, or joining every pair on
 every scan, exceeds the bounds several times over.
+
+A call of ``kbd`` also builds its argument parser, and builds the
+subparser of the command it runs alone.
 """
 
+import argparse
 import contextlib
 import io
 import os
@@ -82,3 +86,21 @@ def test_steps_across_sees_each_pair_once(monkeypatch, argv):
     monkeypatch.setattr(_Driver, "steps_across", recorded)
     assert counted_run(monkeypatch, argv)[0] == 2
     assert seen and len(seen) == len(set(seen)), len(seen)
+
+
+def test_one_command_builds_one_subparser(monkeypatch):
+    """``entry`` builds the top-level parser and the subparser of
+    ``complete``, not those of the twelve other commands."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(parser, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = entry(["complete", os.path.join(FIXTURES, "strategy.es"),
+                      "--prec", "a>b>d,a>c>d"])
+    assert code == 0
+    assert len(built) == 2, built
