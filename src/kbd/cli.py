@@ -7,13 +7,6 @@ FAIL/INVALID/NOT-CONFLUENT, 2 for MAYBE or unmet preconditions (among
 them terms nested too deep for Python's recursion limit), 3 for usage
 and parse errors, for a file that cannot be opened or is not UTF-8 text,
 and for output cut off by a closed pipe (as in ``kbd ... | head -1``).
-
-``entry`` builds the subparser of the command it is given and no other,
-since building every command's costs a cold call more than most
-completions do.  That parser's subparsers action still names every
-command as its metavar: an unrecognized argument is reported by the
-top-level parser under its usage line, which then reads as it does with
-every command.
 """
 
 from __future__ import annotations
@@ -37,7 +30,7 @@ from .ordered import (ground_joinable, run_kbl, run_kbo,
 from .parsing import (ParseError, ProblemFile, format_trace, parse_problem,
                       parse_term_string, parse_trace, term_word, word_term)
 from .rewriting import joinable, normalize
-from .terms import Rule, Signature, is_ground
+from .terms import Rule, Signature, is_ground, variables
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -96,25 +89,23 @@ def parse_weights(text: Optional[str]) -> dict[str, int]:
 
 
 def build_order(args, pf: ProblemFile) -> OrderSpec:
-    kind = args.order
+    """The order that the flags name, under the command's order rule."""
     prec = parse_precedence(args.prec)
     symbols = pf.signature().symbols()
-    if kind == "ground-derived":
+    if args.order == "ground-derived":
         if not pf.rules:
             raise CliError("ground-derived order needs a RULES section",
                            EXIT_MAYBE)
         if not prec.pairs:
             prec = Precedence.total(symbols)
         spec = OrderSpec("ground", prec, base=list(pf.rules))
-    elif kind == "kbo":
+    elif args.order == "kbo":
         spec = OrderSpec("kbo", prec,
                          KboWeights(args.w0, parse_weights(args.weights)))
-    elif kind == "lpo":
-        if not prec.pairs and args.command == "complete-ground":
+    else:
+        if not prec.pairs and args.order_rule == "total":
             prec = Precedence.total(symbols)
         spec = OrderSpec("lpo", prec)
-    else:
-        raise CliError("unknown order kind %r" % kind)
     try:
         spec.validate(pf.signature().arities)
     except InadmissibleOrder as e:
@@ -159,14 +150,11 @@ def show_pair(pair, string_mode: bool) -> str:
 
 def show_system(rules, eqs, string_mode: bool = False) -> str:
     lines = []
-    if rules:
-        lines.append("(RULES")
-        lines.extend("  " + show_pair(r, string_mode) for r in rules)
-        lines.append(")")
-    if eqs:
-        lines.append("(EQUATIONS")
-        lines.extend("  " + show_pair(e, string_mode) for e in eqs)
-        lines.append(")")
+    for title, pairs in (("RULES", rules), ("EQUATIONS", eqs)):
+        if pairs:
+            lines.append("(" + title)
+            lines.extend("  " + show_pair(p, string_mode) for p in pairs)
+            lines.append(")")
     return "\n".join(lines)
 
 
@@ -193,19 +181,16 @@ def cmd_complete(args) -> int:
             "out-of-fuel": EXIT_MAYBE}[result.status]
 
 
-def cmd_cps(args) -> int:
-    fuel_of(args)  # a listing spends no fuel, but checks it as all do
-    pf = load_problem(args)
-    if args.command == "xcps":
-        order = build_order(args, pf)
-        pairs = extended_critical_pairs(pf.equations, pf.rules, order)
-    elif args.command == "pcps":
-        pairs = prime_critical_pairs(pf.rules)
-    else:
-        pairs = critical_pairs(pf.rules)
-    for eq in pairs:
-        print(show_pair(eq, args.string))
-    return EXIT_YES
+def listing(pairs_of):
+    """The handler of a command that prints ``pairs_of(args, pf)`` for the
+    problem ``pf``."""
+    def cmd_list(args) -> int:
+        fuel_of(args)  # a listing spends no fuel, but checks it as all do
+        pf = load_problem(args)
+        for eq in pairs_of(args, pf):
+            print(show_pair(eq, args.string))
+        return EXIT_YES
+    return cmd_list
 
 
 def cmd_reduce(args) -> int:
@@ -269,10 +254,14 @@ def cmd_decide(args) -> int:
             return EXIT_MAYBE
         verdict = ground_joinable(result.state.E, result.state.R, order,
                                   lhs, rhs, fuel)
-        if verdict is False and not (
-                order.kind in ("lpo", "kbo")
-                and order.precedence.is_total_on(signature.symbols())):
+        if verdict is False and not order.total_on(signature.symbols()):
             print("MAYBE (the order is not total on ground terms)")
+            return EXIT_MAYBE
+        # ordered rewriting misses the instances of a one-sided equation
+        if verdict is False and any(set(variables(e.lhs)) !=
+                                    set(variables(e.rhs))
+                                    for e in result.state.E):
+            print("MAYBE (an equation has a variable on one side only)")
             return EXIT_MAYBE
         if verdict is not None:
             print("VALID" if verdict else "INVALID")
@@ -298,17 +287,16 @@ def cmd_check_confluence(args) -> int:
     pf = load_problem(args)
     if not pf.rules:
         raise CliError("check-confluence needs a RULES section", EXIT_MAYBE)
-    if args.prec:
+    if args.order == "lpo" and not args.prec:
+        if search_lpo(pf.rules) is None:
+            print("PRECONDITION-FAILED (no reduction order orients the "
+                  "rules; termination unproven)")
+            return EXIT_MAYBE
+    else:
         order = build_order(args, pf)
         bad = [r for r in pf.rules if not order.gt(r.lhs, r.rhs)]
         if bad:
             print("PRECONDITION-FAILED (rule not oriented: %s)" % bad[0])
-            return EXIT_MAYBE
-    else:
-        prec = search_lpo(pf.rules)
-        if prec is None:
-            print("PRECONDITION-FAILED (no reduction order orients the "
-                  "rules; termination unproven)")
             return EXIT_MAYBE
     fuel = fuel_of(args)
     for eq in prime_critical_pairs(pf.rules):
@@ -341,22 +329,31 @@ def cmd_replay(args) -> int:
     return EXIT_YES
 
 
-# Each command: its handler, whether it takes the order flags, and the
-# arguments of its own that follow the common ones.
+TRACE_FLAG = {"--trace": dict(help="write the inference trace to this file")}
+
+# Each command: its handler, its order rule and its own arguments.  The
+# rule is None where no order is read and no order flag is taken, "given"
+# for the order the flags name, and "total" where an LPO with no --prec is
+# total on the problem's symbols.
 COMMANDS = {
-    **{name: (cmd_complete, True, {"--trace": dict(
-        help="write the inference trace to this file")}) for name in ENGINES},
-    "cps": (cmd_cps, True, {}),
-    "pcps": (cmd_cps, True, {}),
-    "xcps": (cmd_cps, True, {}),
-    "reduce": (cmd_reduce, False, {"--rhs-only": dict(
+    "complete": (cmd_complete, "given", TRACE_FLAG),
+    "complete-ground": (cmd_complete, "total", TRACE_FLAG),
+    "complete-inf": (cmd_complete, "given", TRACE_FLAG),
+    "complete-ordered": (cmd_complete, "given", TRACE_FLAG),
+    "complete-linear": (cmd_complete, "given", TRACE_FLAG),
+    "cps": (listing(lambda args, pf: critical_pairs(pf.rules)), None, {}),
+    "pcps": (listing(lambda args, pf: prime_critical_pairs(pf.rules)),
+             None, {}),
+    "xcps": (listing(lambda args, pf: extended_critical_pairs(
+        pf.equations, pf.rules, build_order(args, pf))), "given", {}),
+    "reduce": (cmd_reduce, None, {"--rhs-only": dict(
         action="store_true",
         help="normalize right-hand sides only (keep all rules)")}),
-    "reduce-ordered": (cmd_reduce_ordered, True, {}),
-    "decide": (cmd_decide, True, {"query": dict(
+    "reduce-ordered": (cmd_reduce_ordered, "given", {}),
+    "decide": (cmd_decide, "given", {"query": dict(
         help="equation to decide, e.g. 'f(b) == a'")}),
-    "check-confluence": (cmd_check_confluence, True, {}),
-    "replay": (cmd_replay, True, {
+    "check-confluence": (cmd_check_confluence, "given", {}),
+    "replay": (cmd_replay, "given", {
         "--script": dict(required=True, help="trace file to replay"),
         "--variant": dict(default="kbf", choices=list(CALCULI))}),
 }
@@ -364,7 +361,10 @@ COMMANDS = {
 
 def make_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser of ``kbd``, with the subparser of ``command`` alone when
-    it names one, and of every command otherwise."""
+    it names one, and of every command otherwise: building every command's
+    costs a cold call more than most completions do.  The subparsers
+    action still names every command as its metavar, so that the usage
+    line under an unrecognized argument reads as with every command."""
     parser = argparse.ArgumentParser(
         prog="kbd", description="Knuth-Bendix completion toolbox")
     if command in COMMANDS:
@@ -375,7 +375,7 @@ def make_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         names = list(COMMANDS)
         sub = parser.add_subparsers(dest="command", required=True)
     for name in names:
-        fn, order_flags, own = COMMANDS[name]
+        fn, order_rule, own = COMMANDS[name]
         p = sub.add_parser(name)
         p.add_argument("problem", help="problem file")
         p.add_argument("--string", action="store_true",
@@ -383,7 +383,7 @@ def make_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p.add_argument("--fuel", type=int, default=None,
                        help="inferences for complete*, rewrite steps "
                        "otherwise (default 10000 or $KBD_FUEL)")
-        if order_flags:
+        if order_rule is not None:
             p.add_argument("--order", default="lpo",
                            choices=["lpo", "kbo", "ground-derived"])
             p.add_argument("--prec", default=None,
@@ -394,7 +394,7 @@ def make_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                            help='symbol weights, e.g. "f=2,g=1"')
         for arg, kwargs in own.items():
             p.add_argument(arg, **kwargs)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, order_rule=order_rule)
     return parser
 
 

@@ -210,6 +210,12 @@ class OrderSpec:
         elif self.kind != "lpo":
             raise InadmissibleOrder("unknown order kind %r" % self.kind)
 
+    def total_on(self, symbols: Sequence[str]) -> bool:
+        """Is the order total on the ground terms over ``symbols``?  LPO
+        and KBO are when their precedence is; a ground order never is."""
+        return self.kind in ("lpo", "kbo") and \
+            self.precedence.is_total_on(symbols)
+
     def gt(self, s: Term, t: Term) -> bool:
         if self.kind == "lpo":
             return lpo_gt(self.precedence, s, t)

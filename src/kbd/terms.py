@@ -155,14 +155,6 @@ def apply_subst(sigma: Subst, t: Term) -> Term:
     return Fun(t.symbol, tuple(apply_subst(sigma, a) for a in t.args))
 
 
-def compose(sigma: Subst, tau: Subst) -> Subst:
-    """Composition: applying the result equals applying sigma, then tau."""
-    out = {x: apply_subst(tau, t) for x, t in sigma.items()}
-    for x, t in tau.items():
-        out.setdefault(x, t)
-    return out
-
-
 def match(pattern: Term, subject: Term,
           sigma: Optional[Subst] = None) -> Optional[Subst]:
     """Substitution with ``pattern * sigma == subject``, or None.

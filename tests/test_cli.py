@@ -320,6 +320,21 @@ class TestDecide:
         assert run(capsys, "decide", str(path), *flags, query)[:2] == \
             (code, verdict + "\n")
 
+    @pytest.mark.parametrize("problem, prec, query", [
+        ("okb2.es", "g>f>a>b", "f(a) == b"),
+        ("(VAR x y) (EQUATIONS f(x) == g(y))", "f>g>a>b", "g(a) == g(b)"),
+    ], ids=["okb2", "f-g"])
+    def test_one_sided_equation_refutes_nothing(self, capsys, tmp_path,
+                                                problem, prec, query):
+        # f(a) = f(b) = b and g(a) = f(x) = g(b), though the ordered normal
+        # forms differ: they miss instances such as f(a) -> f(b)
+        path = tmp_path / "p.es"
+        path.write_text(problem + "\n")
+        if problem.endswith(".es"):
+            path = fixture(problem)
+        assert run(capsys, "decide", str(path), "--prec", prec, query)[:2] \
+            == (2, "MAYBE (an equation has a variable on one side only)\n")
+
     @pytest.mark.parametrize("query, code, verdict", [
         ("aaa == a", 0, "VALID"), ("a == ", 1, "INVALID")])
     def test_string_query(self, capsys, tmp_path, query, code, verdict):
@@ -363,6 +378,21 @@ class TestCheckConfluence:
         code, out, _ = run(capsys, "check-confluence", str(prob))
         assert code == 1
         assert out.startswith("NOT-CONFLUENT")
+
+    def test_kbo_flags_are_honoured(self, capsys):
+        code, out, err = run(capsys, "check-confluence", fixture("chain.trs"),
+                             "--order", "kbo", "--weights", "a=-1")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("PRECONDITION-FAILED")
+
+    @pytest.mark.parametrize("flags, code, verdict", [
+        ((), 2, "PRECONDITION-FAILED (rule not oriented: a -> b)"),
+        (("--prec", "a>b>c>d"), 0, "CONFLUENT"),
+    ], ids=["empty-prec", "prec"])
+    def test_kbo_is_not_searched(self, capsys, flags, code, verdict):
+        assert run(capsys, "check-confluence", fixture("chain.trs"),
+                   "--order", "kbo", *flags)[:2] == (code, verdict + "\n")
 
     def test_explicit_precedence_must_orient(self, capsys, tmp_path):
         prob = tmp_path / "p.trs"
@@ -723,3 +753,29 @@ class TestOneCommandParser:
         code, out, err = run(capsys, "bogus")
         assert (code, out) == (3, "")
         assert "argument command: invalid choice: 'bogus'" in err
+
+
+class TestOrderRules:
+    """``COMMANDS`` alone says which commands take the order flags: a
+    command that reads no order rejects them, and every other accepts
+    them."""
+
+    def test_commands_that_read_no_order(self):
+        assert [name for name, (_, rule, _) in COMMANDS.items()
+                if rule is None] == ["cps", "pcps", "reduce"]
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_order_flags_follow_the_order_rule(self, capsys, command):
+        _, rule, own = COMMANDS[command]
+        argv = [command, fixture("pcpex.trs"), "--prec", "a>b"]
+        for arg, kwargs in own.items():
+            if not arg.startswith("-"):
+                argv.append("a == b")
+            elif kwargs.get("required"):
+                argv += [arg, "t.log"]
+        if rule is None:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert err.endswith("error: unrecognized arguments: --prec a>b\n")
+        else:
+            assert parsed(make_parser(command), argv)[0] is None

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbd.terms import (Equation, Fun, InvalidPosition, Rule, Signature, Var,
-                       apply_subst, canonical_pair, compose, encompasses,
+                       apply_subst, canonical_pair, encompasses,
                        equation_variants, is_ground, literally_similar,
                        match, occurs, pair_variants, positions,
                        postorder_positions, proper_subterms,
@@ -78,12 +78,6 @@ class TestSubstitution:
 
     def test_apply_leaves_unbound(self):
         assert apply_subst({"x": g(y)}, f(x, z)) == f(g(y), z)
-
-    def test_compose_order(self):
-        sigma, tau = {"x": g(y)}, {"y": a}
-        both = compose(sigma, tau)
-        t = f(x, y)
-        assert apply_subst(both, t) == apply_subst(tau, apply_subst(sigma, t))
 
 
 class TestMatch:

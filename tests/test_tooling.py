@@ -1,8 +1,9 @@
 """Source hygiene: no module of ``src/kbd`` imports a name it never uses,
-every private function and class of ``src/kbd`` is used there, the bench
-tracer's wrappers still find what they wrap in kbd, the README's table
-of calculi says what ``CALCULI`` says, and its CLI examples run every
-command.
+every private function and class of ``src/kbd`` is used there, no code
+of the CLI branches on the command that called it or on an order's kind,
+the bench tracer's wrappers still find what they wrap in kbd, the
+README's table of calculi says what ``CALCULI`` says, and its CLI
+examples run every command.
 
 ``__init__.py`` is left out of the import check, as its imports are the
 package's exports.
@@ -99,6 +100,37 @@ def test_unreferenced_private_definition_is_reported():
             "class _Idle:\n    def m(self): return _Idle\n"
     assert unreferenced_private_definitions([used, other]) == \
         ["_Idle", "_loop"]
+
+
+def command_branches(source: str) -> list[str]:
+    """Where ``source`` compares a ``.command`` attribute with anything or
+    reads a ``.kind`` attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(side, ast.Attribute) and side.attr == "command"
+                for side in [node.left] + node.comparators):
+            found.append((node.lineno, "compares .command"))
+        elif isinstance(node, ast.Attribute) and node.attr == "kind":
+            found.append((node.lineno, "reads .kind"))
+    return ["%s (line %d)" % (what, line) for line, what in sorted(found)]
+
+
+def test_cli_does_not_branch_on_the_command():
+    # COMMANDS says how each command gets its order, and OrderSpec says
+    # what its kind implies
+    with open(os.path.join(SRC, "cli.py")) as fh:
+        assert command_branches(fh.read()) == []
+
+
+def test_command_branch_is_reported():
+    source = "if args.command == 'cps': pass\n" \
+             "ok = args.command not in ('xcps', 'pcps')\n" \
+             "total = order.kind in ('lpo', 'kbo')\n" \
+             "variant, engine = ENGINES[args.command]\n"
+    assert command_branches(source) == [
+        "compares .command (line 1)", "compares .command (line 2)",
+        "reads .kind (line 3)"]
 
 
 # Installing the tracer patches kbd in the whole interpreter, so a fresh
