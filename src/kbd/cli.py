@@ -7,6 +7,8 @@ FAIL/INVALID/NOT-CONFLUENT, 2 for MAYBE or unmet preconditions (among
 them terms nested too deep for Python's recursion limit), 3 for usage
 and parse errors, for a file that cannot be opened or is not UTF-8 text,
 and for output cut off by a closed pipe (as in ``kbd ... | head -1``).
+:func:`entry` alone maps each failure to its code; a library
+``ValueError`` or ``RuntimeError`` is an unmet precondition.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from .completion import (CALCULI, SideConditionError, run_kbf, run_kbg,
                          run_kbi, replay)
 from .critical_pairs import (critical_pairs, extended_critical_pairs,
                              prime_critical_pairs)
-from .orders import (InadmissibleOrder, KboWeights, OrderSpec, Precedence,
-                     lpo_gt)
+from .orders import KboWeights, OrderSpec, Precedence, lpo_gt
 from .ordered import (ground_joinable, run_kbl, run_kbo,
                       simplify_ground_complete)
 from .parsing import (ParseError, ProblemFile, format_trace, parse_problem,
@@ -47,11 +48,7 @@ ENGINES = {
 
 
 class CliError(Exception):
-    """Bad invocation; carries the exit code to use."""
-
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """Bad invocation: a usage error (exit 3)."""
 
 
 def parse_precedence(text: Optional[str]) -> Precedence:
@@ -68,10 +65,7 @@ def parse_precedence(text: Optional[str]) -> Precedence:
         if len(names) < 2 or not all(names):
             raise CliError("bad precedence chain %r" % chain)
         pairs.extend(zip(names, names[1:]))
-    try:
-        return Precedence(pairs)
-    except InadmissibleOrder as e:
-        raise CliError(str(e), EXIT_MAYBE)
+    return Precedence(pairs)
 
 
 def parse_weights(text: Optional[str]) -> dict[str, int]:
@@ -89,27 +83,24 @@ def parse_weights(text: Optional[str]) -> dict[str, int]:
 
 
 def build_order(args, pf: ProblemFile) -> OrderSpec:
-    """The order that the flags name, under the command's order rule."""
+    """The order that the flags name, under the command's order rule.
+    With no ``--prec``, the ``"total"`` rule and a ground-derived order
+    get a total precedence on the problem's symbols."""
     prec = parse_precedence(args.prec)
-    symbols = pf.signature().symbols()
+    signature = pf.signature()
+    if not prec.pairs and (args.order_rule == "total"
+                           or args.order == "ground-derived"):
+        prec = Precedence.total(signature.symbols())
     if args.order == "ground-derived":
         if not pf.rules:
-            raise CliError("ground-derived order needs a RULES section",
-                           EXIT_MAYBE)
-        if not prec.pairs:
-            prec = Precedence.total(symbols)
+            raise ValueError("ground-derived order needs a RULES section")
         spec = OrderSpec("ground", prec, base=list(pf.rules))
     elif args.order == "kbo":
         spec = OrderSpec("kbo", prec,
                          KboWeights(args.w0, parse_weights(args.weights)))
     else:
-        if not prec.pairs and args.order_rule == "total":
-            prec = Precedence.total(symbols)
         spec = OrderSpec("lpo", prec)
-    try:
-        spec.validate(pf.signature().arities)
-    except InadmissibleOrder as e:
-        raise CliError(str(e), EXIT_MAYBE)
+    spec.validate(signature.arities)
     return spec
 
 
@@ -161,16 +152,12 @@ def show_system(rules, eqs, string_mode: bool = False) -> str:
 def cmd_complete(args) -> int:
     pf = load_problem(args)
     if pf.rules:
-        raise CliError("completion starts from equations; found rules",
-                       EXIT_MAYBE)
+        raise ValueError("completion starts from equations; found rules")
     variant, engine = ENGINES[args.command]
     order = build_order(args, pf)
     with (open(args.trace, "w") if args.trace is not None
           else nullcontext()) as trace:
-        try:
-            result = engine(pf.equations, order, fuel_of(args))
-        except ValueError as e:
-            raise CliError(str(e), EXIT_MAYBE)
+        result = engine(pf.equations, order, fuel_of(args))
         if trace:
             trace.write(format_trace(result.trace, variant))
     out = show_system(result.state.R, result.state.E, args.string)
@@ -196,24 +183,17 @@ def listing(pairs_of):
 def cmd_reduce(args) -> int:
     pf = load_problem(args)
     if not pf.rules:
-        raise CliError("reduce needs a RULES section", EXIT_MAYBE)
+        raise ValueError("reduce needs a RULES section")
     fn = rdot if args.rhs_only else rddot
-    try:
-        out = fn(pf.rules, fuel_of(args))
-    except RuntimeError as e:
-        raise CliError(str(e), EXIT_MAYBE)
-    print(show_system(out, [], args.string))
+    print(show_system(fn(pf.rules, fuel_of(args)), [], args.string))
     return EXIT_YES
 
 
 def cmd_reduce_ordered(args) -> int:
     pf = load_problem(args)
     order = build_order(args, pf)
-    try:
-        eqs, rules = simplify_ground_complete(pf.equations, pf.rules, order,
-                                              fuel_of(args))
-    except RuntimeError as e:
-        raise CliError(str(e), EXIT_MAYBE)
+    eqs, rules = simplify_ground_complete(pf.equations, pf.rules, order,
+                                          fuel_of(args))
     print(show_system(rules, eqs, args.string))
     return EXIT_YES
 
@@ -286,7 +266,7 @@ def search_lpo(rules) -> Optional[Precedence]:
 def cmd_check_confluence(args) -> int:
     pf = load_problem(args)
     if not pf.rules:
-        raise CliError("check-confluence needs a RULES section", EXIT_MAYBE)
+        raise ValueError("check-confluence needs a RULES section")
     if args.order == "lpo" and not args.prec:
         if search_lpo(pf.rules) is None:
             print("PRECONDITION-FAILED (no reduction order orients the "
@@ -314,14 +294,12 @@ def cmd_check_confluence(args) -> int:
 def cmd_replay(args) -> int:
     pf = load_problem(args)
     order = build_order(args, pf)
-    script = parse_trace(read_file(args.script), pf.var_test())
+    script = parse_trace(read_file(args.script), pf.var_test(), args.variant)
     try:
         state = replay(pf.equations, pf.rules, script, args.variant, order)
     except SideConditionError as e:
         print("FAIL (%s)" % e)
         return EXIT_NO
-    except ValueError as e:
-        raise CliError(str(e), EXIT_MAYBE)
     print("SUCCESS")
     out = show_system(state.R, state.E, args.string)
     if out:
@@ -411,9 +389,8 @@ def entry(argv: Optional[list[str]] = None) -> int:
         print("PARSE-ERROR (%s)" % e, file=sys.stderr)
         return EXIT_USAGE
     except CliError as e:
-        tag = "PRECONDITION-FAILED" if e.code == EXIT_MAYBE else "ERROR"
-        print("%s (%s)" % (tag, e), file=sys.stderr)
-        return e.code
+        print("ERROR (%s)" % e, file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         # the reader has gone; point stdout at devnull so that the flush
         # at exit does not fail again
@@ -426,6 +403,11 @@ def entry(argv: Optional[list[str]] = None) -> int:
     except RecursionError:
         # terms are nested too deep for the recursive parts of the kernel
         print("PRECONDITION-FAILED (term nesting too deep)", file=sys.stderr)
+        return EXIT_MAYBE
+    except (ValueError, RuntimeError) as e:
+        # an unmet precondition, raised by the library or a handler: an
+        # inadmissible order, input that the calculus excludes, no fuel
+        print("PRECONDITION-FAILED (%s)" % e, file=sys.stderr)
         return EXIT_MAYBE
 
 

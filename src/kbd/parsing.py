@@ -139,14 +139,10 @@ class ProblemFile:
             [t for e in self.equations for t in (e.lhs, e.rhs)]
         return Signature.of_terms(terms)
 
-    def is_var(self, name: str) -> bool:
-        """Trace terms may carry primed or numbered copies of variables;
-        a function symbol of the problem is never read as one."""
-        return self.var_test()(name)
-
     def var_test(self) -> Callable[[str], bool]:
-        """:meth:`is_var` with the problem's names gathered once, for
-        reading a whole trace."""
+        """Which names a trace of this problem reads as variables: trace
+        terms may carry primed or numbered copies of variables, but a
+        function symbol of the problem is never read as one."""
         declared = set(self.var_names)
         symbols = self.signature().arities
 
@@ -354,15 +350,22 @@ def _parse_step(ts: _Tokens, is_var: Callable[[str], bool]) -> Inference:
     raise ParseError("unknown inference %r" % kind)
 
 
-def parse_trace(text: str, is_var: Callable[[str], bool]) -> list[Inference]:
+def parse_trace(text: str, is_var: Callable[[str], bool],
+                variant: str = "kbf") -> list[Inference]:
+    """The steps of a trace whose deduce lines use ``variant``'s word."""
+    word = calculus(variant).deduce_word
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip() if line.lstrip().startswith("#") \
-            else line.strip()
-        if not line:
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
         try:
-            out.append(parse_inference(line, is_var))
+            inf = parse_inference(line, is_var)
+            found = line.split(None, 1)[0]
+            if inf.kind == "deduce" and found != word:
+                raise ParseError("%s writes a deduce as %r, found %r"
+                                 % (variant, word, found))
         except ParseError as e:
             raise ParseError("line %d: %s" % (lineno, e))
+        out.append(inf)
     return out

@@ -171,6 +171,14 @@ class TestCompleteGround:
         assert code == 0
         assert out.splitlines()[0] == "SUCCESS"
 
+    def test_default_total_precedence_under_kbo(self, capsys):
+        """With no ``--prec`` a KBO gets the same total precedence as an
+        LPO, so the run ends as under ``--prec "a>b>c>f"``."""
+        assert run(capsys, "complete-ground", fixture("ground.es"),
+                   "--order", "kbo") == \
+            (0, "SUCCESS\n(RULES\n  f(c) -> c\n  f(b) -> c\n  a -> c\n)\n",
+             "")
+
     def test_rejects_variables(self, capsys):
         code, _, err = run(capsys, "complete-ground",
                            fixture("kbg_fail.es"), "--prec", "f>a>b")
@@ -394,6 +402,12 @@ class TestCheckConfluence:
         assert run(capsys, "check-confluence", fixture("chain.trs"),
                    "--order", "kbo", *flags)[:2] == (code, verdict + "\n")
 
+    def test_ground_derived_default_precedence(self, capsys):
+        """With no ``--prec`` a ground-derived order ties under a total
+        precedence on the problem's symbols."""
+        assert run(capsys, "check-confluence", fixture("chain.trs"),
+                   "--order", "ground-derived") == (0, "CONFLUENT\n", "")
+
     def test_explicit_precedence_must_orient(self, capsys, tmp_path):
         prob = tmp_path / "p.trs"
         prob.write_text("(RULES a -> b)")
@@ -432,6 +446,31 @@ class TestReplayDeduce:
                            "--script", str(script), "--prec", "f>a>b>c")
         assert code == 0
         assert out.splitlines()[0] == "SUCCESS"
+
+    @pytest.mark.parametrize("word, variant, err", [
+        ("deduce-lin", "kbl", None),
+        ("deduce-lin", "kbo", "kbo writes a deduce as 'deduce-ext', found "
+         "'deduce-lin'"),
+        ("deduce", "kbl", "kbl writes a deduce as 'deduce-lin', found "
+         "'deduce'"),
+    ], ids=["own-word", "kbl-word-under-kbo", "kbf-word-under-kbl"])
+    def test_deduce_word_must_match_the_variant(self, capsys, tmp_path,
+                                                word, variant, err):
+        """A complete-linear trace of plus.es replays under kbl alone,
+        and only with kbl's deduce word."""
+        trace = tmp_path / "trace"
+        argv = (fixture("plus.es"), "--prec", "+>0")
+        code, out, _ = run(capsys, "complete-linear", *argv,
+                           "--trace", str(trace))
+        assert code == 0
+        text = trace.read_text()
+        lineno = 1 + next(i for i, line in enumerate(text.splitlines())
+                          if line.startswith("deduce"))
+        trace.write_text(text.replace("deduce-lin ", word + " "))
+        expected = (0, out, "") if err is None else \
+            (3, "", "PARSE-ERROR (line %d: %s)\n" % (lineno, err))
+        assert run(capsys, "replay", *argv, "--script", str(trace),
+                   "--variant", variant) == expected
 
 
 AC = "(VAR x y z) (EQUATIONS +(x,y) == +(y,x)  +(x,+(y,z)) == +(y,+(x,z)))"
@@ -550,6 +589,26 @@ class TestErrorsAndEnvironment:
         self.file_error(capsys, "%s is not UTF-8 text (" % files[bad],
                         "replay", str(files["problem"]),
                         "--script", str(files["script"]))
+
+    @pytest.mark.parametrize("argv, reason", [
+        (("reduce", fixture("metivier.trs"), "--fuel", "0"),
+         "right-hand side of f(x) -> a does not normalize within 0 steps"),
+        (("reduce-ordered", fixture("interreduce1.trs"), "--prec", "+>s",
+          "--fuel", "0"), "+(s(x),s(s(x))) does not normalize within 0 "
+         "steps"),
+        (("complete", fixture("pcpex.trs")),
+         "completion starts from equations; found rules"),
+        (("reduce", fixture("strategy.es")), "reduce needs a RULES section"),
+        (("check-confluence", fixture("strategy.es")),
+         "check-confluence needs a RULES section"),
+        (("complete", fixture("strategy.es"), "--order", "ground-derived"),
+         "ground-derived order needs a RULES section"),
+    ], ids=["reduce-fuel-0", "reduce-ordered-fuel-0", "complete-rules",
+            "reduce-no-rules", "check-confluence-no-rules",
+            "ground-derived-no-rules"])
+    def test_failed_precondition_message(self, capsys, argv, reason):
+        assert run(capsys, *argv) == \
+            (2, "", "PRECONDITION-FAILED (%s)\n" % reason)
 
     def test_bad_precedence_flag(self, capsys):
         code, _, err = run(capsys, "complete", fixture("single.es"),

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from kbd.completion import Inference, Peak
+from kbd.completion import Inference, Peak, calculus
 from kbd.parsing import (ParseError, ProblemFile, format_inference,
                          format_position, format_trace, parse_inference,
                          parse_position, parse_problem, parse_term_string,
@@ -154,6 +154,21 @@ class TestTraceGrammar:
                            "'from <outer> <inner> at <pos>'$"):
             parse_trace("delete a == a\n" + line + "\n", is_var)
 
+    @pytest.mark.parametrize("variant", ["kbf", "kbo", "kbl"])
+    def test_trace_deduce_word_follows_the_variant(self, variant):
+        """``parse_trace`` reads a deduce in ``variant``'s word alone."""
+        inf = self.CASES[3]
+        for other in ("kbf", "kbo", "kbl"):
+            text = "delete a == a\n" + format_inference(inf, other) + "\n"
+            if other == variant:
+                assert parse_trace(text, is_var, variant)[1] == inf
+                continue
+            with pytest.raises(ParseError, match="^line 2: %s writes a "
+                               "deduce as '%s', found '%s'$" % (
+                                   variant, calculus(variant).deduce_word,
+                                   calculus(other).deduce_word)):
+                parse_trace(text, is_var, variant)
+
     def test_deduce_peak_suffix(self):
         inf = parse_inference("deduce-ext a == b from eq#1 rev rule#0 at 2.1",
                               is_var)
@@ -218,6 +233,6 @@ class TestTraceGrammar:
 
 class TestProblemFileHelpers:
     def test_is_var_accepts_primed_copies(self):
-        pf = ProblemFile(var_names=["u"])
-        assert pf.is_var("u") and pf.is_var("u'") and pf.is_var("x3")
-        assert not pf.is_var("v")
+        is_var = ProblemFile(var_names=["u"]).var_test()
+        assert is_var("u") and is_var("u'") and is_var("x3")
+        assert not is_var("v")

@@ -81,7 +81,8 @@ def test_engine_trace_roundtrips_and_replays(k):
     pf, result = engine_run(k)
     assert all(inf.peak is not None for inf in result.trace
                if inf.kind == "deduce")
-    script = parse_trace(format_trace(result.trace, variant), pf.is_var)
+    script = parse_trace(format_trace(result.trace, variant), pf.var_test(),
+                         variant)
     assert script == result.trace
     state = replay(pf.equations, [], script, variant, order)
     assert state.R == result.state.R
@@ -100,7 +101,7 @@ def test_old_format_trace_is_a_parse_error(k):
                     if inf.kind == "deduce")
     with pytest.raises(ParseError, match="^line %d: a deduce needs 'from "
                        "<outer> <inner> at <pos>'$" % line):
-        parse_trace(text, pf.is_var)
+        parse_trace(text, pf.var_test())
 
 
 def state_before_inner_deduce(k):
@@ -234,8 +235,8 @@ def test_random_engine_trace_roundtrips_and_replays(variant, data, prec,
     eqs = data.draw(st.lists(equation, min_size=1, max_size=3))
     order = OrderSpec("lpo", Precedence.total(prec))
     result = engine(eqs, order, fuel)
-    is_var = ProblemFile(["x", "y"], equations=eqs).is_var
-    script = parse_trace(format_trace(result.trace, variant), is_var)
+    is_var = ProblemFile(["x", "y"], equations=eqs).var_test()
+    script = parse_trace(format_trace(result.trace, variant), is_var, variant)
     assert len(script) == len(result.trace)
     for parsed, inf in zip(script, result.trace):
         assert parsed == inf

@@ -1,6 +1,7 @@
 """Source hygiene: no module of ``src/kbd`` imports a name it never uses,
 every private function and class of ``src/kbd`` is used there, no code
 of the CLI branches on the command that called it or on an order's kind,
+no CLI handler maps a failure to an exit code that ``entry`` would map,
 the bench tracer's wrappers still find what they wrap in kbd, the
 README's table of calculi says what ``CALCULI`` says, and its CLI
 examples run every command.
@@ -131,6 +132,52 @@ def test_command_branch_is_reported():
     assert command_branches(source) == [
         "compares .command (line 1)", "compares .command (line 2)",
         "reads .kind (line 3)"]
+
+
+# the functions of cli.py whose ``try`` changes the outcome, not only the
+# exit code; every other failure reaches ``entry``, which maps it
+TRY_ALLOWED = {"entry", "read_file", "cmd_decide", "cmd_replay"}
+
+
+def exit_code_wrappers(source: str) -> list[str]:
+    """Where ``source`` has a ``try`` outside the top-level functions named
+    in ``TRY_ALLOWED``, or builds a ``CliError`` with a second argument."""
+    tree = ast.parse(source)
+    allowed = {id(node) for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and fn.name in TRY_ALLOWED
+               for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Try) and id(node) not in allowed:
+            found.append((node.lineno, "try"))
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Name) and \
+                node.func.id == "CliError" and \
+                len(node.args) + len(node.keywords) > 1:
+            found.append((node.lineno, "CliError with an exit code"))
+    return ["%s (line %d)" % (what, line) for line, what in sorted(found)]
+
+
+def test_entry_alone_maps_failures_to_exit_codes():
+    with open(os.path.join(SRC, "cli.py")) as fh:
+        assert exit_code_wrappers(fh.read()) == []
+
+
+def test_exit_code_wrapper_is_reported():
+    source = "def cmd_reduce(args):\n" \
+             "    try:\n" \
+             "        out = rddot(rules, fuel)\n" \
+             "    except RuntimeError as e:\n" \
+             "        raise CliError(str(e), EXIT_MAYBE)\n" \
+             "def cmd_replay(args):\n" \
+             "    try:\n" \
+             "        state = replay(script)\n" \
+             "    except SideConditionError:\n" \
+             "        raise CliError('x', code=2)\n" \
+             "raise CliError('usage')\n"
+    assert exit_code_wrappers(source) == [
+        "try (line 2)", "CliError with an exit code (line 5)",
+        "CliError with an exit code (line 10)"]
 
 
 # Installing the tracer patches kbd in the whole interpreter, so a fresh
