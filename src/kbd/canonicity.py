@@ -12,30 +12,10 @@ normal forms, and is unique up to renaming of variables.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Sequence
 
 from .critical_pairs import dedup_pairs
-from .terms import Rule, Term, canonical_pair
+from .terms import Rule, canonical_pair
 from .rewriting import Rules, is_normal_form, normalize
-
-
-def is_left_reduced(rules: Rules) -> bool:
-    """No left-hand side is reducible by the other rules."""
-    rule_list = list(rules)
-    for i, rule in enumerate(rule_list):
-        rest = rule_list[:i] + rule_list[i + 1:]
-        if not is_normal_form(rest, rule.lhs):
-            return False
-    return True
-
-
-def is_right_reduced(rules: Rules) -> bool:
-    """Every right-hand side is a normal form of the whole system."""
-    return all(is_normal_form(rules, rule.rhs) for rule in rules)
-
-
-def is_reduced(rules: Rules) -> bool:
-    return is_left_reduced(rules) and is_right_reduced(rules)
 
 
 def rdot(rules: Rules, fuel: int = 10000) -> list[Rule]:
@@ -74,14 +54,3 @@ def trs_variants(r1: Rules, r2: Rules) -> bool:
     """Equality of rule sets up to renaming of variables in each rule."""
     return Counter(map(canonical_pair, r1)) == \
         Counter(map(canonical_pair, r2))
-
-
-def same_normal_forms(r1: Rules, r2: Rules, terms: Sequence[Term],
-                      fuel: int = 10000) -> bool:
-    """Do both systems give every sample term the same normal form?"""
-    for t in terms:
-        n1 = normalize(r1, t, fuel)
-        n2 = normalize(r2, t, fuel)
-        if n1 is None or n1 != n2:
-            return False
-    return True

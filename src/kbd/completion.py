@@ -174,9 +174,11 @@ def _subterm(term: Term, pos: Position) -> Term:
 def _rewrite_views(state: RunState, calc: Calculus, kind: str, own):
     """The views a simplify, compose or collapse step may use, in the
     groups the engine searches in turn, each with whether the rewritten
-    term must properly encompass the side used: the rules, then, with
-    equation steps, the equations read both ways.  Neither holds ``own``,
-    the rule or equation rewritten, ``('rule', m)`` or ``('eq', i)``."""
+    term must properly encompass the side used (it does below the root,
+    and at the root when the matcher is not a renaming): the rules, then,
+    with equation steps, the equations read both ways.  Neither holds
+    ``own``, the rule or equation rewritten, ``('rule', m)`` or
+    ``('eq', i)``."""
     space, k = own
     groups = [(_rule_views(state.R, k if space == "rule" else None),
                kind == "collapse" and calc.encompassing)]
@@ -211,7 +213,7 @@ def _rewrite_with_ref(state: RunState, calc: Calculus, kind: str, own,
         raise SideConditionError("%s may not use %s"
                                  % (kind, _format_ref(ref)))
     hit = next(_contractions(_subterm(term, pos), [(ref, view)],
-                             order, term if encompass else None), None)
+                             order, encompass and pos == ()), None)
     if hit is None:
         raise SideConditionError(
             "%s -> %s does not rewrite %s at position %r (no match, an "

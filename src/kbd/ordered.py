@@ -19,11 +19,11 @@ from typing import Optional, Sequence
 from .completion import RunResult, _Driver
 from .critical_pairs import dedup_pairs
 from .orders import OrderSpec
-from .rewriting import (_contractions, _equation_views, _steps, normalize,
-                        ordered_normalize)
+from .rewriting import (_contractions, _equation_views, _rule_views,
+                        innermost_redex, normalize, ordered_normalize)
 from .terms import (Equation, Fun, Rule, Term, Var, canonical_terms,
-                    literally_similar, positions, properly_encompasses,
-                    replace_at, subterm_at, variables)
+                    literally_similar, positions, replace_at, subterm_at,
+                    variables)
 
 
 class _OrderedDriver(_Driver):
@@ -125,11 +125,22 @@ def encompass_reducible(eqs: Sequence[Equation], rules: Sequence[Rule],
     decreasing instance of an equation.  A view that matches such a
     generalization also matches ``t``, so the generalizations are only
     searched when some view matches ``t``.
+
+    Proper encompassment is read off the match that finds a redex: when
+    ℓ matches ``t`` at position p with matcher σ, ``t`` properly
+    encompasses ℓ exactly when p is not the root or σ is not a renaming
+    (it maps two variables to one, or one to a non-variable).  If ℓ
+    encompassed ``t`` as well, then size(ℓ) >= size(t) >= size(t|p) =
+    size(ℓσ) >= size(ℓ), so p is the root and σ maps each variable to a
+    variable or a constant; as ℓ also encompasses ``t`` = ℓσ at its root
+    alone, σ can neither send a variable to a constant nor two variables
+    to one.  The converse is immediate: a renaming makes ``t`` a variant
+    of ℓ.
     """
-    if any(properly_encompasses(t, rule.lhs) for rule in rules):
+    if innermost_redex(t, _rule_views(rules), encompass=True) is not None:
         return True
     views = _equation_views(eqs)
-    if isinstance(t, Fun) and any(next(_steps(a, views, order), None)
+    if isinstance(t, Fun) and any(innermost_redex(a, views, order)
                                   for a in t.args):
         return True
     return next(_contractions(t, views), None) is not None and \

@@ -25,7 +25,8 @@ class InadmissibleOrder(ValueError):
 class Precedence:
     """A strict partial order on function symbols, given by pairs f > g.
 
-    The transitive closure is computed up front; a cycle is rejected.
+    The transitive closure is computed up front; a cycle is rejected,
+    naming its least symbol.
     """
 
     def __init__(self, pairs: Sequence[tuple[str, str]] = ()):
@@ -38,7 +39,7 @@ class Precedence:
                     if b == c and (a, d) not in self.pairs:
                         self.pairs.add((a, d))
                         changed = True
-        for (a, b) in self.pairs:
+        for (a, b) in sorted(self.pairs):
             if a == b:
                 raise InadmissibleOrder("cyclic precedence through %s" % a)
 

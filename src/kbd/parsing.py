@@ -220,21 +220,6 @@ def _parse_string_problem(text: str) -> ProblemFile:
     return pf
 
 
-def print_problem(pf: ProblemFile) -> str:
-    lines = []
-    if pf.var_names:
-        lines.append("(VAR %s)" % " ".join(pf.var_names))
-    if pf.rules:
-        lines.append("(RULES")
-        lines.extend("  %s -> %s" % (r.lhs, r.rhs) for r in pf.rules)
-        lines.append(")")
-    if pf.equations:
-        lines.append("(EQUATIONS")
-        lines.extend("  %s == %s" % (e.lhs, e.rhs) for e in pf.equations)
-        lines.append(")")
-    return "\n".join(lines) + "\n"
-
-
 def format_position(pos: Position) -> str:
     return ".".join(str(i) for i in pos) if pos else "e"
 

@@ -24,8 +24,7 @@ from typing import Optional, Sequence
 
 from .orders import OrderSpec
 from .terms import (Equation, Fun, Position, Rule, Term, Var, apply_subst,
-                    match, positions, properly_encompasses, replace_at, size,
-                    subterm_at)
+                    match, positions, replace_at, size, subterm_at)
 
 
 Rules = Sequence[Rule]
@@ -55,27 +54,34 @@ def _format_ref(ref) -> str:
     return out
 
 
+def _renames(sigma) -> bool:
+    """Does the matcher ``sigma`` map its variables to distinct
+    variables?"""
+    values = sigma.values()
+    return all(isinstance(u, Var) for u in values) and \
+        len(set(values)) == len(sigma)
+
+
 def _contractions(t: Term, candidates, order: Optional[OrderSpec] = None,
-                  whole: Optional[Term] = None):
+                  proper: bool = False):
     """Every candidate applicable at the root of ``t``, in order, as
     ``(ref, reduct)``.
 
     With ``order``, an equation view applies only where its instance is
-    decreasing; with ``whole``, a view applies only when ``whole`` properly
-    encompasses its left-hand side.
+    decreasing.  With ``proper``, a view applies only where ``t`` properly
+    encompasses its left-hand side, which at the root means that the
+    matcher is not a renaming (see :func:`kbd.ordered.encompass_reducible`).
     """
     symbol = t.symbol if isinstance(t, Fun) else None
     for ref, view in candidates:
         if isinstance(view.lhs, Fun) and view.lhs.symbol != symbol:
             continue
         sigma = match(view.lhs, t)
-        if sigma is None:
+        if sigma is None or proper and _renames(sigma):
             continue
         reduct = apply_subst(sigma, view.rhs)
         if order is not None and ref[0][0] == "eq" and \
                 not order.gt(t, reduct):
-            continue
-        if whole is not None and not properly_encompasses(whole, view.lhs):
             continue
         yield ref, reduct
 
@@ -89,15 +95,15 @@ def _steps(t: Term, candidates, order: Optional[OrderSpec] = None):
             yield pos, ref, replace_at(t, pos, reduct)
 
 
-def _redex(t: Term, candidates, order, whole):
+def _redex(t: Term, candidates, order, proper: bool = False):
     if isinstance(t, Var):
         return None
     for i, a in enumerate(t.args, start=1):
-        hit = _redex(a, candidates, order, whole)
+        hit = _redex(a, candidates, order)
         if hit is not None:
             pos, ref, result = hit
             return (i,) + pos, ref, replace_at(t, (i,), result)
-    hit = next(_contractions(t, candidates, order, whole), None)
+    hit = next(_contractions(t, candidates, order, proper), None)
     return None if hit is None else ((), hit[0], hit[1])
 
 
@@ -109,11 +115,12 @@ def innermost_redex(t: Term, candidates, order: Optional[OrderSpec] = None,
     position: ``ref`` is ``(('rule', k), False)`` for a rule, or
     ``(('eq', j), rev)`` for an equation read right-to-left when ``rev``,
     and ``view`` is that rule or oriented equation.  ``order`` is as for
-    :func:`_contractions`; with ``encompass``, a view applies only when
-    ``t`` properly encompasses its left-hand side.  ``result`` is ``t``
-    after the step.
+    :func:`_contractions`.  With ``encompass``, a view applies only when
+    ``t`` properly encompasses its left-hand side: below the root always,
+    and at the root when the matcher is not a renaming.  ``result`` is
+    ``t`` after the step.
     """
-    return _redex(t, candidates, order, t if encompass else None)
+    return _redex(t, candidates, order, encompass)
 
 
 def rewrite_step(rules: Rules, t: Term) -> Optional[Step]:

@@ -89,16 +89,6 @@ def positions(t: Term) -> list[Position]:
     return out
 
 
-def postorder_positions(t: Term) -> list[Position]:
-    """Positions in leftmost-innermost search order (children first)."""
-    out: list[Position] = []
-    if isinstance(t, Fun):
-        for i, a in enumerate(t.args, start=1):
-            out.extend((i,) + p for p in postorder_positions(a))
-    out.append(())
-    return out
-
-
 def fun_sites(t: Term) -> list[tuple[Position, str]]:
     """``(pos, symbol)`` for each position of ``t`` whose subterm is a
     function application with root ``symbol``, in preorder."""
@@ -127,12 +117,6 @@ def subterms(t: Term) -> Iterator[Term]:
     if isinstance(t, Fun):
         for a in t.args:
             yield from subterms(a)
-
-
-def proper_subterms(t: Term) -> Iterator[Term]:
-    it = subterms(t)
-    next(it)
-    yield from it
 
 
 def replace_at(t: Term, pos: Position, s: Term) -> Term:
@@ -302,16 +286,6 @@ def canonical_terms(ts: Sequence[Term]) -> tuple[Term, ...]:
 def literally_similar(s: Term, t: Term) -> bool:
     """Equality up to renaming of variables (the relation written s ≐ t)."""
     return canonical_terms([s])[0] == canonical_terms([t])[0]
-
-
-def encompasses(s: Term, t: Term) -> bool:
-    """True if some subterm of ``s`` is an instance of ``t``."""
-    return any(match(t, u) is not None for u in subterms(s))
-
-
-def properly_encompasses(s: Term, t: Term) -> bool:
-    """Encompassment minus its converse: s ⊒ t but not t ⊒ s."""
-    return encompasses(s, t) and not encompasses(t, s)
 
 
 @dataclass(frozen=True)

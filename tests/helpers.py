@@ -5,12 +5,116 @@ from typing import NamedTuple
 
 from kbd.critical_pairs import _linear_condition, _overlap, dedup_pairs
 from kbd.orders import OrderSpec, Precedence, lex_ext, lpo_gt
+from kbd.parsing import ProblemFile
 from kbd.rewriting import (_equation_views, _rule_views, all_steps,
                            innermost_redex, is_normal_form, joinable,
                            normalize, ordered_step)
 from kbd.terms import (Equation, Fun, Rule, Var, apply_subst, is_ground,
-                       occurs, positions, proper_subterms, rename_apart,
+                       match, occurs, positions, rename_apart, replace_at,
                        size, subterm_at, subterms, variables)
+
+# -- positions, subterms and encompassment ----------------------------
+
+def postorder_positions(t):
+    """Positions in leftmost-innermost search order (children first)."""
+    out = []
+    if isinstance(t, Fun):
+        for i, a in enumerate(t.args, start=1):
+            out.extend((i,) + p for p in postorder_positions(a))
+    out.append(())
+    return out
+
+
+def proper_subterms(t):
+    it = subterms(t)
+    next(it)
+    yield from it
+
+
+def encompasses(s, t):
+    """True if some subterm of ``s`` is an instance of ``t``."""
+    return any(match(t, u) is not None for u in subterms(s))
+
+
+def properly_encompasses(s, t):
+    """Encompassment minus its converse: s ⊒ t but not t ⊒ s."""
+    return encompasses(s, t) and not encompasses(t, s)
+
+
+def is_renaming(sigma):
+    """Does ``sigma`` map its variables to distinct variables?"""
+    return all(isinstance(u, Var) for u in sigma.values()) and \
+        len(set(sigma.values())) == len(sigma)
+
+
+def encompassing_redex(t, candidates, order=None):
+    """``innermost_redex(t, candidates, order, True)`` by definition: the
+    first view, over the positions of ``t`` but its variables in
+    leftmost-innermost order, whose left-hand side ``t`` properly
+    encompasses and which steps there (decreasingly, for an equation
+    view under ``order``)."""
+    for pos in postorder_positions(t):
+        u = subterm_at(t, pos)
+        if isinstance(u, Var):
+            continue
+        for ref, view in candidates:
+            sigma = match(view.lhs, u)
+            if sigma is None or not properly_encompasses(t, view.lhs):
+                continue
+            reduct = apply_subst(sigma, view.rhs)
+            if order is not None and ref[0][0] == "eq" and \
+                    not order.gt(u, reduct):
+                continue
+            return pos, ref, replace_at(t, pos, reduct)
+    return None
+
+
+# -- reduced systems and their normal forms -----------------------------
+
+def is_left_reduced(rules):
+    """No left-hand side is reducible by the other rules."""
+    rule_list = list(rules)
+    for i, rule in enumerate(rule_list):
+        rest = rule_list[:i] + rule_list[i + 1:]
+        if not is_normal_form(rest, rule.lhs):
+            return False
+    return True
+
+
+def is_right_reduced(rules):
+    """Every right-hand side is a normal form of the whole system."""
+    return all(is_normal_form(rules, rule.rhs) for rule in rules)
+
+
+def is_reduced(rules):
+    return is_left_reduced(rules) and is_right_reduced(rules)
+
+
+def same_normal_forms(r1, r2, terms, fuel=10000):
+    """Do both systems give every sample term the same normal form?"""
+    for t in terms:
+        n1 = normalize(r1, t, fuel)
+        n2 = normalize(r2, t, fuel)
+        if n1 is None or n1 != n2:
+            return False
+    return True
+
+
+def print_problem(pf: ProblemFile) -> str:
+    """``pf`` in the problem-file format, which parses back to it."""
+    lines = []
+    if pf.var_names:
+        lines.append("(VAR %s)" % " ".join(pf.var_names))
+    if pf.rules:
+        lines.append("(RULES")
+        lines.extend("  %s -> %s" % (r.lhs, r.rhs) for r in pf.rules)
+        lines.append(")")
+    if pf.equations:
+        lines.append("(EQUATIONS")
+        lines.extend("  %s == %s" % (e.lhs, e.rhs) for e in pf.equations)
+        lines.append(")")
+    return "\n".join(lines) + "\n"
+
 
 # -- term generation ---------------------------------------------------
 

@@ -11,8 +11,7 @@ import time
 
 import pytest
 
-from kbd.canonicity import (is_reduced, rddot, same_normal_forms,
-                            trs_variants)
+from kbd.canonicity import rddot, trs_variants
 from kbd.cli import entry
 from kbd.completion import (Inference, RunState, SideConditionError,
                             apply_inference, is_linear, replay, run_kbf,
@@ -29,9 +28,10 @@ from kbd.terms import (Equation, Fun, Rule, Var, apply_subst,
                        replace_at, subterm_at, variables)
 
 from helpers import (GROUND_SIG, brute_force_confluent,
-                     enumerate_ground_terms, random_ground_es,
+                     enumerate_ground_terms, is_reduced, random_ground_es,
                      random_ground_term, random_linear_term,
-                     random_orientable_trs, random_reduced_ground_trs)
+                     random_orientable_trs, random_reduced_ground_trs,
+                     same_normal_forms)
 from test_completion import (STRATEGY_E, STRATEGY_ORDER, STRATEGY_R,
                              scripted_failure, scripted_success)
 from test_ordered import (OKB1_E, OKB1_ORDER, OKB1_R, OKB2_E, OKB2_ORDER,

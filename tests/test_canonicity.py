@@ -2,12 +2,12 @@
 
 import pytest
 
-from kbd.canonicity import (is_left_reduced, is_reduced, is_right_reduced,
-                            rddot, rdot, same_normal_forms, trs_variants)
+from kbd.canonicity import rddot, rdot, trs_variants
 from kbd.rewriting import normalize
 from kbd.terms import Fun, Rule, Var
 
-from helpers import enumerate_ground_terms
+from helpers import (enumerate_ground_terms, is_left_reduced, is_reduced,
+                     is_right_reduced, same_normal_forms)
 
 x, y = Var("x"), Var("y")
 a, b, c = Fun("a"), Fun("b"), Fun("c")

@@ -621,6 +621,21 @@ class TestErrorsAndEnvironment:
         assert code == 2
         assert err.startswith("PRECONDITION-FAILED (cyclic precedence")
 
+    @pytest.mark.parametrize("seed", ["0", "1", "2", "3", "4", "5"])
+    def test_cyclic_precedence_names_its_least_symbol(self, seed):
+        """The message names the least symbol on the cycle, whatever order
+        a fresh interpreter's string hashes give the pairs of the
+        precedence."""
+        src = os.path.join(os.path.dirname(FIXTURES), os.pardir, "src")
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kbd.cli", "complete", fixture("groups.es"),
+             "--prec", "i>*>i"], capture_output=True, text=True, env=env,
+            timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (2, "", "PRECONDITION-FAILED (cyclic precedence through *)\n")
+
     def test_negative_weight_is_a_failed_precondition(self, capsys):
         code, out, err = run(capsys, "complete", fixture("groups.es"),
                              "--order", "kbo", "--prec", "i>*>e",

@@ -5,12 +5,14 @@ import pytest
 from kbd.completion import (CALCULI, Inference, Peak, RunState,
                             SideConditionError, apply_inference, replay,
                             run_kbf, run_kbg, run_kbi)
-from kbd.canonicity import is_reduced, trs_variants
+from kbd.canonicity import trs_variants
 from kbd.critical_pairs import prime_critical_pairs
 from kbd.orders import OrderSpec, Precedence, KboWeights
 from kbd.parsing import word_term
 from kbd.rewriting import joinable, normalize
 from kbd.terms import Equation, Fun, Rule, Var, pair_variants
+
+from helpers import is_reduced
 
 x, y = Var("x"), Var("y")
 a, b, c, d = Fun("a"), Fun("b"), Fun("c"), Fun("d")

@@ -4,8 +4,9 @@ byte-identical.
 
 The completion commands are those of ``bench/workloads.py`` (the finite
 cases as they are, the diverge cases at a fuel cap of at most 100).  The
-listing commands are ``cps``, ``pcps`` and ``check-confluence`` on every
-``fixtures/*.trs``, and ``xcps`` on the ordered problems with their
+listing commands are ``cps``, ``pcps``, ``check-confluence``, ``reduce``,
+``reduce --rhs-only`` and ``reduce-ordered`` on every ``fixtures/*.trs``,
+and ``xcps`` and ``reduce-ordered`` on the ordered problems with their
 benchmark precedences; the benchmark runs none of them.  The files under
 ``fixtures/golden/`` are the outputs of a reference build; any change to
 the kernel, the orders, the critical-pair enumeration or the engines that
@@ -54,16 +55,25 @@ CASES = {
 
 # name: (subcommand, problem file, order flags) of the listing commands
 LISTINGS = {
-    "%s_%s" % (command, os.path.basename(path)[:-4]):
-        (command, os.path.basename(path), ())
+    "%s_%s" % (name, os.path.basename(path)[:-4]):
+        (command, os.path.basename(path), flags)
     for path in sorted(glob.glob(os.path.join(FIXTURES, "*.trs")))
-    for command in ("cps", "pcps", "check-confluence")
+    for name, command, flags in (
+        ("cps", "cps", ()), ("pcps", "pcps", ()),
+        ("check-confluence", "check-confluence", ()),
+        ("reduce", "reduce", ()),
+        ("reduce-rhs-only", "reduce", ("--rhs-only",)),
+        ("reduce-ordered", "reduce-ordered", ()))
 }
+ORDERED = (("okb1", "+>*>->1>0"), ("okb2", "g>f>a>b"), ("plus", "+>0"),
+           ("comm", "+>s>0"))
 LISTINGS.update(
     ("xcps_" + stem, ("xcps", stem + ".es", ("--prec", prec)))
-    for stem, prec in (("okb1", "+>*>->1>0"), ("okb2", "g>f>a>b"),
-                       ("plus", "+>0"), ("comm", "+>s>0"),
-                       ("groups", "i>*>e")))
+    for stem, prec in ORDERED + (("groups", "i>*>e"),))
+LISTINGS.update(
+    ("reduce-ordered_" + stem, ("reduce-ordered", stem + ".es",
+                                ("--prec", prec)))
+    for stem, prec in ORDERED)
 
 VARIANTS = {"complete": "kbf", "complete-ground": "kbg",
             "complete-inf": "kbi", "complete-ordered": "kbo",

@@ -11,10 +11,10 @@ from kbd.ordered import (encompass_reducible, ground_joinable, run_kbl,
 from kbd.rewriting import ordered_normalize
 from kbd.terms import (Equation, Fun, Rule, Var, apply_subst,
                        equation_variants, literally_similar, match,
-                       pair_variants, positions, properly_encompasses,
-                       subterm_at)
+                       pair_variants, positions, subterm_at)
 from kbd.canonicity import trs_variants
 
+from helpers import properly_encompasses
 from test_rewriting import EQUATIONS, LPO, RULES, TERMS
 
 x, y, z = Var("x"), Var("y"), Var("z")

@@ -9,8 +9,10 @@ from kbd.completion import Inference, Peak, calculus
 from kbd.parsing import (ParseError, ProblemFile, format_inference,
                          format_position, format_trace, parse_inference,
                          parse_position, parse_problem, parse_term_string,
-                         parse_trace, print_problem, term_word, word_term)
+                         parse_trace, term_word, word_term)
 from kbd.terms import Equation, Fun, Rule, Var
+
+from helpers import print_problem
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 

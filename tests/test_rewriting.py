@@ -9,10 +9,11 @@ from kbd.rewriting import (_equation_views, _normal_form, _rule_views,
                            joinable, normalize, ordered_normalize,
                            ordered_step, rewrite_step)
 from kbd.terms import (Equation, Fun, Rule, Var, apply_subst, match,
-                       positions, postorder_positions, replace_at, same,
-                       size, subterm_at, variables)
+                       positions, replace_at, same, size, subterm_at,
+                       variables)
 
-from helpers import GROUND_SIG, random_ground_term, stepwise_normal_form
+from helpers import (GROUND_SIG, postorder_positions, random_ground_term,
+                     stepwise_normal_form)
 
 x, y = Var("x"), Var("y")
 a, b, c = Fun("a"), Fun("b"), Fun("c")

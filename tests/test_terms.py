@@ -5,15 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbd.terms import (Equation, Fun, InvalidPosition, Rule, Signature, Var,
-                       apply_subst, canonical_pair, encompasses,
-                       equation_variants, is_ground, literally_similar,
-                       match, occurs, pair_variants, positions,
-                       postorder_positions, proper_subterms,
-                       properly_encompasses, rename_apart, replace_at, same,
-                       size, subterm_at, subterms, unify, var_count,
+                       apply_subst, canonical_pair, equation_variants,
+                       is_ground, literally_similar, match, occurs,
+                       pair_variants, positions, rename_apart, replace_at,
+                       same, size, subterm_at, subterms, unify, var_count,
                        variables)
 
-from helpers import GROUND_SIG, eager_unify, random_term, stack_match
+from helpers import (GROUND_SIG, eager_unify, encompasses,
+                     postorder_positions, properly_encompasses, random_term,
+                     stack_match)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 a, b, c = Fun("a"), Fun("b"), Fun("c")

@@ -1,5 +1,6 @@
 """Source hygiene: no module of ``src/kbd`` imports a name it never uses,
-every private function and class of ``src/kbd`` is used there, no code
+every private function and class of ``src/kbd`` is used there, every
+public one is used there or named by the bench, no code
 of the CLI branches on the command that called it or on an order's kind,
 no CLI handler maps a failure to an exit code that ``entry`` would map,
 the bench tracer's wrappers still find what they wrap in kbd, the
@@ -16,6 +17,7 @@ import glob
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -101,6 +103,42 @@ def test_unreferenced_private_definition_is_reported():
             "class _Idle:\n    def m(self): return _Idle\n"
     assert unreferenced_private_definitions([used, other]) == \
         ["_Idle", "_loop"]
+
+
+def unused_public_definitions(sources: list[str],
+                              named_elsewhere: set[str]) -> list[str]:
+    """The public functions and classes at the top level of ``sources``
+    that no source names outside their own definition and that are not in
+    ``named_elsewhere``."""
+    trees = [ast.parse(source) for source in sources]
+    read = sum((names_read(tree) for tree in trees), collections.Counter())
+    return sorted(node.name for tree in trees for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")
+                  and node.name not in named_elsewhere
+                  and read[node.name] == names_read(node)[node.name])
+
+
+def test_public_definitions_are_used():
+    # the bench names what it times and calls as identifiers or in
+    # "layer.function" strings, so every word of its files counts
+    sources, bench_words = [], set()
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path) as fh:
+            sources.append(fh.read())
+    for path in glob.glob(os.path.join(BENCH, "*.py")):
+        with open(path) as fh:
+            bench_words.update(re.findall(r"[A-Za-z_]\w*", fh.read()))
+    assert unused_public_definitions(sources, bench_words) == []
+
+
+def test_unused_public_definition_is_reported():
+    lib = "def used(): return 1\nclass Kept: pass\n" \
+          "def loop(n): return loop(n - 1)\n" \
+          "def timed(): return 2\ndef _private(): return 0\n"
+    other = "def f(): return used() + len([Kept])\n"
+    assert unused_public_definitions([lib, other], {"timed"}) == \
+        ["f", "loop"]
 
 
 def command_branches(source: str) -> list[str]:
