@@ -1,6 +1,6 @@
 """Golden runs: the printed system and the ``--trace`` file of each
-benchmark command, and the output of the listing commands, must stay
-byte-identical.
+benchmark command, the output of the listing commands, and the exit code
+and stderr of every one of them, must stay byte-identical.
 
 The completion commands are those of ``bench/workloads.py`` (the finite
 cases as they are, the diverge cases at a fuel cap of at most 100).  The
@@ -8,19 +8,25 @@ listing commands are ``cps``, ``pcps``, ``check-confluence``, ``reduce``,
 ``reduce --rhs-only`` and ``reduce-ordered`` on every ``fixtures/*.trs``,
 and ``xcps`` and ``reduce-ordered`` on the ordered problems with their
 benchmark precedences; the benchmark runs none of them.  The files under
-``fixtures/golden/`` are the outputs of a reference build; any change to
-the kernel, the orders, the critical-pair enumeration or the engines that
-alters a single inference or a single listed pair shows up here.  Every
-trace must also replay under its own variant to the printed system.
+``fixtures/golden/`` are the outputs of a reference build: ``NAME.out``
+holds the stdout of run NAME, ``NAME.trace`` its trace, and
+``status.json`` maps each NAME to its exit code and stderr.  Any change
+to the kernel, the orders, the critical-pair enumeration or the engines
+that alters a single inference or a single listed pair shows up here, and
+so does a run that now fails where it printed nothing.  Every trace must
+also replay under its own variant to the printed system.
 
-To rewrite the goldens after an intended change of output::
+To rewrite every golden file, ``status.json`` included, after an intended
+change of output::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
+import functools
 import glob
 import io
+import json
 import os
 import sys
 
@@ -30,6 +36,7 @@ from kbd.cli import entry
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 GOLDEN = os.path.join(FIXTURES, "golden")
+STATUS = os.path.join(GOLDEN, "status.json")
 
 # name: (subcommand, problem file, order flags, fuel or None)
 CASES = {
@@ -89,10 +96,11 @@ def _argv(name, trace):
 
 
 def _run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    """``entry(argv)``: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = entry(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _read(path):
@@ -100,49 +108,65 @@ def _read(path):
         return fh.read()
 
 
+@functools.cache
+def _status():
+    """The golden ``[exit code, stderr]`` of each run, by name."""
+    with open(STATUS) as fh:
+        return json.load(fh)
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_golden_output_and_trace(name, tmp_path, monkeypatch):
     monkeypatch.delenv("KBD_FUEL", raising=False)
     trace = str(tmp_path / "trace")
-    _, out = _run(_argv(name, trace))
+    code, out, err = _run(_argv(name, trace))
     assert out == _read(os.path.join(GOLDEN, name + ".out"))
+    assert [code, err] == _status()[name]
     assert _read(trace) == _read(os.path.join(GOLDEN, name + ".trace"))
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_golden_trace_replays(name):
     command, problem, flags, _ = CASES[name]
-    code, out = _run(["replay", os.path.join(FIXTURES, problem), "--script",
+    code, out, err = _run(["replay", os.path.join(FIXTURES, problem), "--script",
                       os.path.join(GOLDEN, name + ".trace"),
                       "--variant", VARIANTS[command]] + list(flags))
-    assert code == 0
+    assert (code, err) == (0, "")
     golden = _read(os.path.join(GOLDEN, name + ".out"))
     assert out.split("\n", 1)[1] == golden.split("\n", 1)[1]
 
 
 def _listing(name):
     command, problem, flags = LISTINGS[name]
-    return _run([command, os.path.join(FIXTURES, problem)] + list(flags))[1]
+    return _run([command, os.path.join(FIXTURES, problem)] + list(flags))
 
 
 @pytest.mark.parametrize("name", list(LISTINGS))
 def test_golden_listing(name, monkeypatch):
     monkeypatch.delenv("KBD_FUEL", raising=False)
-    assert _listing(name) == _read(os.path.join(GOLDEN, name + ".out"))
+    code, out, err = _listing(name)
+    assert out == _read(os.path.join(GOLDEN, name + ".out"))
+    assert [code, err] == _status()[name]
 
 
 def regenerate():
     os.makedirs(GOLDEN, exist_ok=True)
     os.environ.pop("KBD_FUEL", None)
-    for name in CASES:
-        trace = os.path.join(GOLDEN, name + ".trace")
-        _, out = _run(_argv(name, trace))
+    status = {}
+    for name in list(CASES) + list(LISTINGS):
+        if name in CASES:
+            code, out, err = _run(_argv(name, os.path.join(GOLDEN,
+                                                           name + ".trace")))
+            print(name, out.split("\n", 1)[0], file=sys.stderr)
+        else:
+            code, out, err = _listing(name)
         with open(os.path.join(GOLDEN, name + ".out"), "w") as fh:
             fh.write(out)
-        print(name, out.split("\n", 1)[0], file=sys.stderr)
-    for name in LISTINGS:
-        with open(os.path.join(GOLDEN, name + ".out"), "w") as fh:
-            fh.write(_listing(name))
+        status[name] = [code, err]
+    with open(STATUS, "w") as fh:
+        fh.write("{\n%s\n}\n" % ",\n".join(
+            "  %s: %s" % (json.dumps(name), json.dumps(status[name]))
+            for name in sorted(status)))
 
 
 if __name__ == "__main__":
