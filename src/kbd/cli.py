@@ -31,7 +31,7 @@ from .ordered import (ground_joinable, run_kbl, run_kbo,
 from .parsing import (ParseError, ProblemFile, format_trace, parse_problem,
                       parse_term_string, parse_trace, term_word, word_term)
 from .rewriting import joinable, normalize
-from .terms import Rule, Signature, is_ground, variables
+from .terms import Rule, is_ground, variables
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -87,10 +87,10 @@ def build_order(args, pf: ProblemFile) -> OrderSpec:
     With no ``--prec``, the ``"total"`` rule and a ground-derived order
     get a total precedence on the problem's symbols."""
     prec = parse_precedence(args.prec)
-    signature = pf.signature()
+    arities = pf.arities()
     if not prec.pairs and (args.order_rule == "total"
                            or args.order == "ground-derived"):
-        prec = Precedence.total(signature.symbols())
+        prec = Precedence.total(sorted(arities))
     if args.order == "ground-derived":
         if not pf.rules:
             raise ValueError("ground-derived order needs a RULES section")
@@ -100,7 +100,7 @@ def build_order(args, pf: ProblemFile) -> OrderSpec:
                          KboWeights(args.w0, parse_weights(args.weights)))
     else:
         spec = OrderSpec("lpo", prec)
-    spec.validate(signature.arities)
+    spec.validate(arities)
     return spec
 
 
@@ -211,10 +211,8 @@ def cmd_decide(args) -> int:
     else:
         lhs = parse_term_string(left, pf.var_names)
         rhs = parse_term_string(right, pf.var_names)
-    signature = pf.signature()
     try:
-        signature.absorb(lhs)
-        signature.absorb(rhs)
+        symbols = list(pf.arities(lhs, rhs))
     except ValueError as e:
         raise ParseError(str(e))
     order = build_order(args, pf)
@@ -234,7 +232,7 @@ def cmd_decide(args) -> int:
             return EXIT_MAYBE
         verdict = ground_joinable(result.state.E, result.state.R, order,
                                   lhs, rhs, fuel)
-        if verdict is False and not order.total_on(signature.symbols()):
+        if verdict is False and not order.total_on(symbols):
             print("MAYBE (the order is not total on ground terms)")
             return EXIT_MAYBE
         # ordered rewriting misses the instances of a one-sided equation
@@ -250,15 +248,18 @@ def cmd_decide(args) -> int:
     return EXIT_MAYBE
 
 
-def search_lpo(rules) -> Optional[Precedence]:
-    """A total LPO precedence orienting every rule, if any exists."""
-    symbols = Signature.of_terms([t for r in rules
-                                  for t in (r.lhs, r.rhs)]).symbols()
+def search_lpo(pf: ProblemFile) -> Optional[Precedence]:
+    """A total LPO precedence on the symbols of ``pf`` that orients every
+    rule, if any exists.  It tries every order of at most 8 symbols, and
+    raises ValueError for more."""
+    symbols = sorted(pf.arities())
     if len(symbols) > 8:
-        return None
+        raise ValueError("the LPO precedence search tries at most 8 "
+                         "symbols, not %d; give a precedence with --prec"
+                         % len(symbols))
     for perm in itertools.permutations(symbols):
         prec = Precedence.total(perm)
-        if all(lpo_gt(prec, r.lhs, r.rhs) for r in rules):
+        if all(lpo_gt(prec, r.lhs, r.rhs) for r in pf.rules):
             return prec
     return None
 
@@ -268,16 +269,14 @@ def cmd_check_confluence(args) -> int:
     if not pf.rules:
         raise ValueError("check-confluence needs a RULES section")
     if args.order == "lpo" and not args.prec:
-        if search_lpo(pf.rules) is None:
-            print("PRECONDITION-FAILED (no reduction order orients the "
-                  "rules; termination unproven)")
-            return EXIT_MAYBE
+        if search_lpo(pf) is None:
+            raise ValueError("no reduction order orients the rules; "
+                             "termination unproven")
     else:
         order = build_order(args, pf)
         bad = [r for r in pf.rules if not order.gt(r.lhs, r.rhs)]
         if bad:
-            print("PRECONDITION-FAILED (rule not oriented: %s)" % bad[0])
-            return EXIT_MAYBE
+            raise ValueError("rule not oriented: %s" % bad[0])
     fuel = fuel_of(args)
     for eq in prime_critical_pairs(pf.rules):
         verdict = joinable(pf.rules, eq.lhs, eq.rhs, fuel)

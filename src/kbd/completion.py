@@ -82,8 +82,7 @@ class RunState:
     ``e_union`` accumulates every equation that was ever present in the
     equation list; fairness is judged against it.  ``rule_keys`` holds the
     variant key (:func:`kbd.terms.canonical_pair`) of each rule that
-    orient has compared, filled as it goes; a key depends on its rule
-    alone, so copies of a state share it.
+    orient has compared, filled as it goes.
     """
 
     E: list[Equation]
@@ -96,10 +95,6 @@ class RunState:
     def start(cls, eqs: Sequence[Equation],
               rules: Sequence[Rule] = ()) -> "RunState":
         return cls(list(eqs), list(rules), list(eqs))
-
-    def copy(self) -> "RunState":
-        return RunState(list(self.E), list(self.R), list(self.e_union),
-                        self.rule_keys)
 
     def rule_key(self, rule: Rule) -> tuple[Term, Term]:
         key = self.rule_keys.get(rule)
@@ -124,7 +119,7 @@ class Inference:
     equation: Optional[Equation] = None
     reverse: bool = False          # orient the equation right-to-left
     side: Optional[str] = None     # simplify: 'lhs' or 'rhs'
-    pos: Optional[Position] = None
+    pos: Position = ()
     target: Optional[int] = None   # compose/collapse: rule index
     ref: Optional[tuple[tuple[str, int], bool]] = None
     peak: Optional[Peak] = None
@@ -298,7 +293,7 @@ def apply_inference(state: RunState, inf: Inference, variant: str,
             raise SideConditionError("simplify side must be lhs or rhs")
         term = eq.lhs if inf.side == "lhs" else eq.rhs
         new_term = _rewrite_with_ref(state, calc, kind, ("eq", i), term,
-                                     inf.pos or (), inf.ref, order)
+                                     inf.pos, inf.ref, order)
         new_eq = Equation(new_term, eq.rhs) if inf.side == "lhs" \
             else Equation(eq.lhs, new_term)
         state.E[i] = new_eq
@@ -308,14 +303,14 @@ def apply_inference(state: RunState, inf: Inference, variant: str,
     if kind == "compose":
         rule = _check_rule_index(state, inf.target)
         new_rhs = _rewrite_with_ref(state, calc, kind, ("rule", inf.target),
-                                    rule.rhs, inf.pos or (), inf.ref, order)
+                                    rule.rhs, inf.pos, inf.ref, order)
         state.R[inf.target] = Rule(rule.lhs, new_rhs)
         return
 
     if kind == "collapse":
         rule = _check_rule_index(state, inf.target)
         new_lhs = _rewrite_with_ref(state, calc, kind, ("rule", inf.target),
-                                    rule.lhs, inf.pos or (), inf.ref, order)
+                                    rule.lhs, inf.pos, inf.ref, order)
         del state.R[inf.target]
         _record_equation(state, Equation(new_lhs, rule.rhs))
         return
@@ -327,18 +322,14 @@ def apply_inference(state: RunState, inf: Inference, variant: str,
 class RunResult:
     """Outcome of a completion run.
 
-    ``status`` is 'success', 'fail' or 'out-of-fuel'; ``stuck`` lists the
-    unorientable equations of a failed run.
+    ``status`` is 'success', 'fail' or 'out-of-fuel'; the final system is
+    ``state.R`` and ``state.E``, which for a failed run holds the
+    unorientable equations.
     """
 
     status: str
     state: RunState
     trace: list[Inference]
-    stuck: list[Equation] = field(default_factory=list)
-
-    @property
-    def rules(self) -> list[Rule]:
-        return list(self.state.R)
 
 
 class _OutOfFuel(Exception):
@@ -538,7 +529,7 @@ class _Driver:
         except _OutOfFuel:
             return RunResult("out-of-fuel", state, self.trace)
         if state.E and not self.calculus.ordered:
-            return RunResult("fail", state, self.trace, stuck=list(state.E))
+            return RunResult("fail", state, self.trace)
         return RunResult("success", state, self.trace)
 
 

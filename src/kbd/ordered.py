@@ -47,7 +47,7 @@ def run_kbl(eqs: Sequence[Equation], order: OrderSpec,
 
 def ground_joinable(eqs: Sequence[Equation], rules: Sequence[Rule],
                     order: OrderSpec, s: Term, t: Term,
-                    fuel: int = 2000) -> Optional[bool]:
+                    fuel: int) -> Optional[bool]:
     """Do ground terms ``s`` and ``t`` meet under ordered rewriting?
 
     For a ground-complete system the ordered normal forms of convertible
@@ -150,8 +150,7 @@ def encompass_reducible(eqs: Sequence[Equation], rules: Sequence[Rule],
 
 def simplify_ground_complete(eqs: Sequence[Equation],
                              rules: Sequence[Rule], order: OrderSpec,
-                             fuel: int = 2000) -> tuple[list[Equation],
-                                                        list[Rule]]:
+                             fuel: int) -> tuple[list[Equation], list[Rule]]:
     """Interreduce a ground-complete system, preserving ground normal forms.
 
     The orientable equation instances join the rules; right-hand sides are

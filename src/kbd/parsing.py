@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 from .completion import CALCULI, Inference, Peak, calculus
 from .rewriting import _format_ref
-from .terms import (Equation, Fun, Position, Rule, Signature, Term, Var)
+from .terms import Equation, Fun, Position, Rule, Term, Var, arities
 
 
 class ParseError(ValueError):
@@ -107,9 +107,9 @@ def parse_term_string(text: str, var_names: Sequence[str]) -> Term:
     return t
 
 
-def word_term(word: str, var: str = "x") -> Term:
+def word_term(word: str) -> Term:
     """The unary-term encoding of a word: ``abc`` -> a(b(c(x)))."""
-    t: Term = Var(var)
+    t: Term = Var("x")
     for ch in reversed(word):
         t = Fun(ch, (t,))
     return t
@@ -134,17 +134,18 @@ class ProblemFile:
     rules: list[Rule] = field(default_factory=list)
     equations: list[Equation] = field(default_factory=list)
 
-    def signature(self) -> Signature:
-        terms = [t for r in self.rules for t in (r.lhs, r.rhs)] + \
-            [t for e in self.equations for t in (e.lhs, e.rhs)]
-        return Signature.of_terms(terms)
+    def arities(self, *extra: Term) -> dict[str, int]:
+        """The arity of each function symbol of the problem and of the
+        terms ``extra``; ValueError when a symbol occurs with two."""
+        return arities([t for p in (*self.rules, *self.equations)
+                        for t in (p.lhs, p.rhs)] + list(extra))
 
     def var_test(self) -> Callable[[str], bool]:
         """Which names a trace of this problem reads as variables: trace
         terms may carry primed or numbered copies of variables, but a
         function symbol of the problem is never read as one."""
         declared = set(self.var_names)
-        symbols = self.signature().arities
+        symbols = self.arities()
 
         def is_var(name: str) -> bool:
             if name in declared:
@@ -193,7 +194,7 @@ def parse_problem(text: str, string_mode: bool = False) -> ProblemFile:
         else:
             raise ParseError("unknown section %r" % section)
     try:
-        pf.signature()
+        pf.arities()
     except ValueError as e:
         raise ParseError(str(e))
     return pf
@@ -236,7 +237,7 @@ def parse_position(text: str) -> Position:
 _DEDUCE_WORDS = {c.deduce_word for c in CALCULI.values()}
 
 
-def format_inference(inf: Inference, variant: str = "kbf") -> str:
+def format_inference(inf: Inference, variant: str) -> str:
     if inf.kind == "orient":
         eq = inf.equation
         if inf.reverse:
@@ -251,16 +252,16 @@ def format_inference(inf: Inference, variant: str = "kbf") -> str:
             _format_ref(inner), format_position(pos))
     if inf.kind == "simplify":
         return "simplify %s %s at %s with %s" % (
-            inf.equation, inf.side, format_position(inf.pos or ()),
+            inf.equation, inf.side, format_position(inf.pos),
             _format_ref(inf.ref))
     if inf.kind in ("compose", "collapse"):
         return "%s rule#%d at %s with %s" % (
-            inf.kind, inf.target, format_position(inf.pos or ()),
+            inf.kind, inf.target, format_position(inf.pos),
             _format_ref(inf.ref))
     raise ValueError("cannot format inference %r" % (inf,))
 
 
-def format_trace(trace: Sequence[Inference], variant: str = "kbf") -> str:
+def format_trace(trace: Sequence[Inference], variant: str) -> str:
     return "\n".join(format_inference(inf, variant) for inf in trace) + "\n"
 
 
@@ -336,7 +337,7 @@ def _parse_step(ts: _Tokens, is_var: Callable[[str], bool]) -> Inference:
 
 
 def parse_trace(text: str, is_var: Callable[[str], bool],
-                variant: str = "kbf") -> list[Inference]:
+                variant: str) -> list[Inference]:
     """The steps of a trace whose deduce lines use ``variant``'s word."""
     word = calculus(variant).deduce_word
     out = []

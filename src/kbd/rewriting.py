@@ -86,25 +86,12 @@ def _contractions(t: Term, candidates, order: Optional[OrderSpec] = None,
         yield ref, reduct
 
 
-def _steps(t: Term, candidates, order: Optional[OrderSpec] = None):
+def _steps(t: Term, candidates):
     """Every step on ``t`` as ``(pos, ref, result)``: positions in
     preorder, candidates in order at each."""
     for pos in positions(t):
-        for ref, reduct in _contractions(subterm_at(t, pos), candidates,
-                                         order):
+        for ref, reduct in _contractions(subterm_at(t, pos), candidates):
             yield pos, ref, replace_at(t, pos, reduct)
-
-
-def _redex(t: Term, candidates, order, proper: bool = False):
-    if isinstance(t, Var):
-        return None
-    for i, a in enumerate(t.args, start=1):
-        hit = _redex(a, candidates, order)
-        if hit is not None:
-            pos, ref, result = hit
-            return (i,) + pos, ref, replace_at(t, (i,), result)
-    hit = next(_contractions(t, candidates, order, proper), None)
-    return None if hit is None else ((), hit[0], hit[1])
 
 
 def innermost_redex(t: Term, candidates, order: Optional[OrderSpec] = None,
@@ -115,12 +102,21 @@ def innermost_redex(t: Term, candidates, order: Optional[OrderSpec] = None,
     position: ``ref`` is ``(('rule', k), False)`` for a rule, or
     ``(('eq', j), rev)`` for an equation read right-to-left when ``rev``,
     and ``view`` is that rule or oriented equation.  ``order`` is as for
-    :func:`_contractions`.  With ``encompass``, a view applies only when
-    ``t`` properly encompasses its left-hand side: below the root always,
-    and at the root when the matcher is not a renaming.  ``result`` is
-    ``t`` after the step.
+    :func:`_contractions`.  The arguments are searched, left to right,
+    before the root, where alone ``encompass`` applies: a view applies
+    there only when its matcher is not a renaming, that is, when ``t``
+    properly encompasses its left-hand side, as it always does below the
+    root.  ``result`` is ``t`` after the step.
     """
-    return _redex(t, candidates, order, encompass)
+    if isinstance(t, Var):
+        return None
+    for i, a in enumerate(t.args, start=1):
+        hit = innermost_redex(a, candidates, order)
+        if hit is not None:
+            pos, ref, result = hit
+            return (i,) + pos, ref, replace_at(t, (i,), result)
+    hit = next(_contractions(t, candidates, order, encompass), None)
+    return None if hit is None else ((), hit[0], hit[1])
 
 
 def rewrite_step(rules: Rules, t: Term) -> Optional[Step]:
@@ -176,7 +172,7 @@ def _normal_form(t: Term, candidates, order: Optional[OrderSpec],
     return done[0], steps
 
 
-def normalize(rules: Rules, t: Term, fuel: int = 1000) -> Optional[Term]:
+def normalize(rules: Rules, t: Term, fuel: int) -> Optional[Term]:
     """Innermost normal form of ``t``, or None when fuel runs out."""
     nf = _normal_form(t, _rule_views(rules), None, fuel)
     return None if nf is None else nf[0]
@@ -187,7 +183,7 @@ def all_steps(rules: Rules, t: Term) -> list[Step]:
     return list(_steps(t, _rule_views(rules)))
 
 
-def joinable(rules: Rules, s: Term, t: Term, fuel: int = 1000) -> Optional[bool]:
+def joinable(rules: Rules, s: Term, t: Term, fuel: int) -> Optional[bool]:
     """Do ``s`` and ``t`` rewrite to a common term?
 
     Tries normal forms first (decisive for complete systems), then a
@@ -230,7 +226,7 @@ def ordered_step(eqs: Eqns, rules: Rules, order: Optional[OrderSpec],
 
 
 def ordered_normalize(eqs: Eqns, rules: Rules, order: OrderSpec, t: Term,
-                      fuel: int = 1000) -> Optional[Term]:
+                      fuel: int) -> Optional[Term]:
     """Innermost normal form under R ∪ E-oriented, or None when fuel runs
     out."""
     nf = _normal_form(t, _rule_views(rules) + _equation_views(eqs), order,

@@ -8,8 +8,8 @@ convention they are never mutated after creation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -139,15 +139,14 @@ def apply_subst(sigma: Subst, t: Term) -> Term:
     return Fun(t.symbol, tuple(apply_subst(sigma, a) for a in t.args))
 
 
-def match(pattern: Term, subject: Term,
-          sigma: Optional[Subst] = None) -> Optional[Subst]:
-    """Substitution with ``pattern * sigma == subject``, or None.
+def match(pattern: Term, subject: Term) -> Optional[Subst]:
+    """The substitution that instantiates ``pattern`` to ``subject``, or
+    None.
 
-    The optional ``sigma`` argument pre-seeds bindings (it is not mutated).
     The loop descends into the first argument of each application and
     keeps only the other argument pairs for later.
     """
-    out = dict(sigma) if sigma else {}
+    out: Subst = {}
     pending: list[tuple[Term, Term]] = []
     p, s = pattern, subject
     while True:
@@ -370,27 +369,16 @@ def rename_apart(keep: RuleLike, shift: RuleLike) -> RuleLike:
     return out
 
 
-@dataclass
-class Signature:
-    """Function symbols with fixed arities."""
-
-    arities: dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def of_terms(cls, ts: Sequence[Term]) -> "Signature":
-        sig = cls()
-        for t in ts:
-            sig.absorb(t)
-        return sig
-
-    def absorb(self, t: Term):
+def arities(ts: Iterable[Term]) -> dict[str, int]:
+    """The arity of each function symbol of the terms ``ts``; ValueError
+    when a symbol occurs with two arities."""
+    out: dict[str, int] = {}
+    for t in ts:
         for u in subterms(t):
             if isinstance(u, Fun):
-                known = self.arities.setdefault(u.symbol, len(u.args))
+                known = out.setdefault(u.symbol, len(u.args))
                 if known != len(u.args):
                     raise ValueError(
                         "symbol %s used with arities %d and %d"
                         % (u.symbol, known, len(u.args)))
-
-    def symbols(self) -> list[str]:
-        return sorted(self.arities)
+    return out

@@ -3,14 +3,15 @@
 import itertools
 from typing import NamedTuple
 
+from kbd.completion import RunState
 from kbd.critical_pairs import _linear_condition, _overlap, dedup_pairs
 from kbd.orders import OrderSpec, Precedence, lex_ext, lpo_gt
-from kbd.parsing import ProblemFile
+from kbd.parsing import ProblemFile, word_term
 from kbd.rewriting import (_equation_views, _rule_views, all_steps,
                            innermost_redex, is_normal_form, joinable,
                            normalize, ordered_step)
-from kbd.terms import (Equation, Fun, Rule, Var, apply_subst, is_ground,
-                       match, occurs, positions, rename_apart, replace_at,
+from kbd.terms import (Equation, Fun, Rule, Var, apply_subst, match,
+                       occurs, positions, rename, rename_apart, replace_at,
                        size, subterm_at, subterms, variables)
 
 # -- positions, subterms and encompassment ----------------------------
@@ -330,10 +331,10 @@ def eager_unify(s, t):
     return unifier
 
 
-def stack_match(pattern, subject, sigma=None):
+def stack_match(pattern, subject):
     """The matcher that pushes every argument pair of each application
     on a stack and takes them back last first."""
-    out = dict(sigma) if sigma else {}
+    out = {}
     stack = [(pattern, subject)]
     while stack:
         p, s = stack.pop()
@@ -415,3 +416,16 @@ def reference_pairs(rules, eqs=(), order=None, linear=False, prime=True):
     return dedup_pairs([p.pair() for p in
                         critical_peaks(rules, eqs, order, linear)
                         if p.prime or not prime])
+
+
+# -- states and words --------------------------------------------------
+
+def copy_state(state):
+    """A run state whose lists are copies of those of ``state``."""
+    return RunState(list(state.E), list(state.R), list(state.e_union))
+
+
+def word_over(word, var):
+    """The unary term of ``word`` (see :func:`kbd.parsing.word_term`)
+    with the variable ``var`` at the bottom."""
+    return rename(word_term(word), {"x": var})

@@ -3,7 +3,6 @@
 import pytest
 
 from kbd.canonicity import rddot, rdot, trs_variants
-from kbd.rewriting import normalize
 from kbd.terms import Fun, Rule, Var
 
 from helpers import (enumerate_ground_terms, is_left_reduced, is_reduced,

@@ -125,9 +125,10 @@ class TestComplete:
          "deduce may not use eq#0 fwd"),
         ("deduce-lin g(x,x) == x from rule#0 rule#0 at e", "kbl",
          "linear completion deduces only linear equations: g(x,x) == x"),
+        ("compose rule#5 at e with rule#0", "kbf", "no rule #5"),
     ], ids=["position", "peak-position", "inner-ref", "outer-ref",
             "no-equation", "no-equation-steps", "own-rule",
-            "no-equation-peaks", "nonlinear"])
+            "no-equation-peaks", "nonlinear", "no-target"])
     def test_replay_bad_reference_fails(self, capsys, tmp_path, line,
                                         variant, reason):
         """Replay accepts only the views the engine would search."""
@@ -319,8 +320,10 @@ class TestDecide:
          "MAYBE (the order is not total on ground terms)"),
         (COMM, ("--prec", "f>a>b"), "f(a,c) == a", 2,
          "MAYBE (the order is not total on ground terms)"),
+        (COMM, ("--prec", "f>a>b"), "f(x,a) == f(a,x)", 2,
+         "MAYBE (ordered system decides ground queries only)"),
     ], ids=["lpo", "kbo", "total", "comm-valid", "comm-invalid",
-            "partial-prec", "query-symbol"])
+            "partial-prec", "query-symbol", "non-ground-query"])
     def test_ordered_phase_refutes_only_under_a_ground_total_order(
             self, capsys, tmp_path, problem, flags, query, code, verdict):
         path = tmp_path / "p.es"
@@ -366,12 +369,36 @@ class TestDecide:
         assert (code, out) == (3, "")
         assert len(err.splitlines()) == 1 and err.startswith("PARSE-ERROR")
 
+    @pytest.mark.parametrize("problem, flags, shape", [
+        ("aa.str", ("--string",), "word == word"),
+        ("groups.es", ("--prec", "i>*>e"), "term == term"),
+    ], ids=["string", "term"])
+    def test_query_without_equals_is_a_usage_error(self, capsys, tmp_path,
+                                                   problem, flags, shape):
+        path = tmp_path / "aa.str"
+        path.write_text("aa == a\n")
+        if problem != "aa.str":
+            path = fixture(problem)
+        assert run(capsys, "decide", str(path), *flags, "aa") == \
+            (3, "", "ERROR (query must be '%s')\n" % shape)
+
 
 class TestCheckConfluence:
     def test_unorientable_precondition(self, capsys):
-        code, out, _ = run(capsys, "check-confluence", fixture("pcpex.trs"))
-        assert code == 2
-        assert out.startswith("PRECONDITION-FAILED")
+        assert run(capsys, "check-confluence", fixture("pcpex.trs")) == \
+            (2, "", "PRECONDITION-FAILED (no reduction order orients the "
+             "rules; termination unproven)\n")
+
+    def test_lpo_search_tries_at_most_8_symbols(self, capsys, tmp_path):
+        """Past 8 symbols no precedence is searched, and the message says
+        so; a given one is still checked."""
+        prob = tmp_path / "p.trs"
+        prob.write_text("(RULES f(a) -> b  c -> d  e -> g  h -> i  j -> k)")
+        assert run(capsys, "check-confluence", str(prob)) == \
+            (2, "", "PRECONDITION-FAILED (the LPO precedence search tries at "
+             "most 8 symbols, not 11; give a precedence with --prec)\n")
+        assert run(capsys, "check-confluence", str(prob), "--prec",
+                   "f>a>b,c>d,e>g,h>i,j>k") == (0, "CONFLUENT\n", "")
 
     def test_confluent(self, capsys, tmp_path):
         prob = tmp_path / "c.trs"
@@ -394,13 +421,13 @@ class TestCheckConfluence:
         assert len(err.splitlines()) == 1
         assert err.startswith("PRECONDITION-FAILED")
 
-    @pytest.mark.parametrize("flags, code, verdict", [
-        ((), 2, "PRECONDITION-FAILED (rule not oriented: a -> b)"),
-        (("--prec", "a>b>c>d"), 0, "CONFLUENT"),
+    @pytest.mark.parametrize("flags, outcome", [
+        ((), (2, "", "PRECONDITION-FAILED (rule not oriented: a -> b)\n")),
+        (("--prec", "a>b>c>d"), (0, "CONFLUENT\n", "")),
     ], ids=["empty-prec", "prec"])
-    def test_kbo_is_not_searched(self, capsys, flags, code, verdict):
+    def test_kbo_is_not_searched(self, capsys, flags, outcome):
         assert run(capsys, "check-confluence", fixture("chain.trs"),
-                   "--order", "kbo", *flags)[:2] == (code, verdict + "\n")
+                   "--order", "kbo", *flags) == outcome
 
     def test_ground_derived_default_precedence(self, capsys):
         """With no ``--prec`` a ground-derived order ties under a total
@@ -411,10 +438,8 @@ class TestCheckConfluence:
     def test_explicit_precedence_must_orient(self, capsys, tmp_path):
         prob = tmp_path / "p.trs"
         prob.write_text("(RULES a -> b)")
-        code, out, _ = run(capsys, "check-confluence", str(prob),
-                           "--prec", "b>a")
-        assert code == 2
-        assert out.startswith("PRECONDITION-FAILED")
+        assert run(capsys, "check-confluence", str(prob), "--prec", "b>a") \
+            == (2, "", "PRECONDITION-FAILED (rule not oriented: a -> b)\n")
 
 
 class TestReplayDeduce:
@@ -603,9 +628,15 @@ class TestErrorsAndEnvironment:
          "check-confluence needs a RULES section"),
         (("complete", fixture("strategy.es"), "--order", "ground-derived"),
          "ground-derived order needs a RULES section"),
+        (("complete", fixture("groups.es"), "--order", "kbo", "--w0", "0"),
+         "w0 must be positive"),
+        (("check-confluence", fixture("chain.trs"), "--order",
+          "ground-derived", "--prec", "a>b"),
+         "ground order needs a total precedence"),
     ], ids=["reduce-fuel-0", "reduce-ordered-fuel-0", "complete-rules",
             "reduce-no-rules", "check-confluence-no-rules",
-            "ground-derived-no-rules"])
+            "ground-derived-no-rules", "kbo-w0-0",
+            "ground-derived-partial-prec"])
     def test_failed_precondition_message(self, capsys, argv, reason):
         assert run(capsys, *argv) == \
             (2, "", "PRECONDITION-FAILED (%s)\n" % reason)

@@ -12,7 +12,7 @@ from kbd.parsing import word_term
 from kbd.rewriting import joinable, normalize
 from kbd.terms import Equation, Fun, Rule, Var, pair_variants
 
-from helpers import is_reduced
+from helpers import copy_state, is_reduced, word_over
 
 x, y = Var("x"), Var("y")
 a, b, c, d = Fun("a"), Fun("b"), Fun("c"), Fun("d")
@@ -50,8 +50,7 @@ class TestApplyInference:
         order = lpo([("f", "a"), ("a", "b")])
         state = RunState.start([Equation(f(y), a), Equation(f(y), b)],
                                [Rule(f(x), a)])
-        copy = state.copy()
-        for s in (state, copy):
+        for s in (state, copy_state(state)):
             apply_inference(s, Inference("orient", equation=Equation(f(y), a)),
                             "kbf", order)
             assert s.R == [Rule(f(x), a)]
@@ -181,10 +180,10 @@ class TestApplyInference:
         inf = Inference("deduce", equation=Equation(a, c),
                         peak=Peak((("eq", 1), False), (("eq", 0), True), ()))
         order = lpo([("b", "a"), ("b", "c")])
-        apply_inference(state.copy(), inf, "kbo", order)
+        apply_inference(copy_state(state), inf, "kbo", order)
         with pytest.raises(SideConditionError,
                            match="deduce may not use eq#1 fwd"):
-            apply_inference(state.copy(), inf, "kbf", order)
+            apply_inference(copy_state(state), inf, "kbf", order)
 
     def test_deduce_forbidden_in_kbg(self):
         state = RunState.start([], [Rule(a, b)])
@@ -201,7 +200,7 @@ class TestEncompassmentCollapse:
         aba, ab = word_term("aba"), word_term("ab")
         abb = word_term("abb")
         rules = [Rule(aba, ab), Rule(word_term("bb"), word_term("b")),
-                 Rule(word_term("aba", "z"), word_term("abb", "z"))]
+                 Rule(word_over("aba", "z"), word_over("abb", "z"))]
         return RunState.start([], rules), ab, abb
 
     def test_kbf_allows_variant_collapse(self):
@@ -297,17 +296,17 @@ class TestRunKbf:
     def test_empty_input(self):
         result = run_kbf([], lpo([]))
         assert result.status == "success"
-        assert result.rules == []
+        assert result.state.R == []
 
     def test_strategy_example(self):
         result = run_kbf(STRATEGY_E, STRATEGY_ORDER)
         assert result.status == "success"
-        assert trs_variants(result.rules, STRATEGY_R)
+        assert trs_variants(result.state.R, STRATEGY_R)
 
     def test_unorientable_fails(self):
         result = run_kbf([Equation(b, c)], lpo([("a", "b"), ("a", "c")]))
         assert result.status == "fail"
-        assert result.stuck == [Equation(b, c)]
+        assert result.state.E == [Equation(b, c)]
 
     def test_trace_replays_to_same_state(self):
         result = run_kbf(STRATEGY_E, STRATEGY_ORDER)
@@ -323,15 +322,15 @@ class TestRunKbf:
         order = lpo([("+", "0"), ("f", "0")])
         result = run_kbf(eqs, order)
         assert result.status == "success"
-        for eq in prime_critical_pairs(result.rules):
-            assert joinable(result.rules, eq.lhs, eq.rhs, 1000)
+        for eq in prime_critical_pairs(result.state.R):
+            assert joinable(result.state.R, eq.lhs, eq.rhs, 1000)
 
 
 class TestRunKbg:
     def test_single_equation(self):
         result = run_kbg([Equation(a, b)], lpo([("a", "b")]))
         assert result.status == "success"
-        assert result.rules == [Rule(a, b)]
+        assert result.state.R == [Rule(a, b)]
 
     def test_rejects_variables(self):
         with pytest.raises(ValueError):
@@ -344,9 +343,9 @@ class TestRunKbg:
         order = OrderSpec("lpo", Precedence.total(["a", "b", "c", "f"]))
         result = run_kbg(eqs, order)
         assert result.status == "success"
-        assert trs_variants(result.rules,
+        assert trs_variants(result.state.R,
                             [Rule(f(b), c), Rule(f(c), c), Rule(a, c)])
-        assert is_reduced(result.rules)
+        assert is_reduced(result.state.R)
 
     def test_fuel_caps_inferences(self):
         eqs = [Equation(f(f(a)), b), Equation(f(a), c), Equation(a, d)]
@@ -366,7 +365,7 @@ class TestRunKbg:
         exact = run_kbg(eqs, order, len(full.trace))
         assert exact.status == "success"
         assert exact.trace == full.trace
-        assert exact.rules == full.rules
+        assert exact.state.R == full.state.R
 
     def test_kbg_stuck_without_deduce(self):
         # ground completion cannot proceed on the f(x) ≈ f(a) system,
@@ -390,7 +389,7 @@ class TestRunKbi:
                     Rule(word_term("abbbab"), word_term("babbaa")),
                     Rule(word_term("abbbbab"), word_term("babbaaa"))]
         for rule in expected:
-            assert any(pair_variants(rule, r) for r in result.rules)
+            assert any(pair_variants(rule, r) for r in result.state.R)
 
     def test_collapse_variant_preserved(self):
         # on {aba ≈ ab, bb ≈ b} the KBi engine keeps a rule with
@@ -399,9 +398,9 @@ class TestRunKbi:
                Equation(word_term("bb"), word_term("b"))]
         result = run_kbi(eqs, lpo([("a", "b")]), 2000)
         assert result.status == "success"
-        assert any(r.lhs == word_term("aba") for r in result.rules)
-        sn = normalize(result.rules, word_term("aba"), 100)
-        tn = normalize(result.rules, word_term("ab"), 100)
+        assert any(r.lhs == word_term("aba") for r in result.state.R)
+        sn = normalize(result.state.R, word_term("aba"), 100)
+        tn = normalize(result.state.R, word_term("ab"), 100)
         assert sn == tn
 
 

@@ -152,8 +152,9 @@ class TestExtendedCriticalPairs:
         checked = 0
         for path in sorted(glob.glob(os.path.join(FIXTURES, "*.trs"))):
             with open(path) as fh:
-                rules = parse_problem(fh.read()).rules
-            prec = search_lpo(rules)
+                pf = parse_problem(fh.read())
+            rules = pf.rules
+            prec = search_lpo(pf)
             if not rules or prec is None:
                 continue
             order = OrderSpec("lpo", prec)

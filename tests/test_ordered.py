@@ -11,7 +11,7 @@ from kbd.ordered import (encompass_reducible, ground_joinable, run_kbl,
 from kbd.rewriting import ordered_normalize
 from kbd.terms import (Equation, Fun, Rule, Var, apply_subst,
                        equation_variants, literally_similar, match,
-                       pair_variants, positions, subterm_at)
+                       positions, subterm_at)
 from kbd.canonicity import trs_variants
 
 from helpers import properly_encompasses
@@ -68,12 +68,12 @@ class TestRunKbo:
         result = run_kbo(OKB1_E, OKB1_ORDER)
         assert result.status == "success"
         assert result.state.E == []
-        assert trs_variants(result.rules, OKB1_R)
+        assert trs_variants(result.state.R, OKB1_R)
 
     def test_okb2_quiesces_with_equation(self):
         result = run_kbo(OKB2_E, OKB2_ORDER)
         assert result.status == "success"
-        assert trs_variants(result.rules, [Rule(f(x), b)])
+        assert trs_variants(result.state.R, [Rule(f(x), b)])
         assert len(result.state.E) == 1
         assert equation_variants(result.state.E[0],
                                  Equation(g(b, x), g(x, b)))
@@ -165,7 +165,7 @@ class TestRunKbl:
         eqs = [Equation(plus(zero, x), x), Equation(plus(x, y), plus(y, x))]
         result = run_kbl(eqs, OrderSpec("lpo", Precedence([("+", "0")])))
         assert result.status == "success"
-        assert trs_variants(result.rules,
+        assert trs_variants(result.state.R,
                             [Rule(plus(zero, x), x), Rule(plus(x, zero), x)])
         assert len(result.state.E) == 1
         assert equation_variants(result.state.E[0],
@@ -181,7 +181,7 @@ class TestRunKbl:
         assert result.status == "success"
         assert result.state.E == []
         # compose rewrites a -> b through b -> d, so a maps straight to d
-        assert trs_variants(result.rules,
+        assert trs_variants(result.state.R,
                             [Rule(a, d), Rule(b, d), Rule(c, d),
                              Rule(f(d), d)])
 
@@ -206,6 +206,11 @@ class TestGroundJoinable:
     def test_distinct_classes(self):
         eqs, rules = self.setup_system()
         assert ground_joinable(eqs, rules, self.order(), a, b, 100) is False
+
+    def test_out_of_fuel(self):
+        eqs, rules = self.setup_system()
+        t = g(f(a), b)
+        assert ground_joinable(eqs, rules, self.order(), t, t, 0) is None
 
     def test_okb1_instances(self):
         order = OKB1_ORDER
@@ -257,7 +262,7 @@ class TestSimplifyGroundComplete:
                Equation(plus(s(x), y), s(plus(x, y))),
                Equation(plus(x, y), plus(y, x))]
         order = OrderSpec("lpo", Precedence([("+", "s")]))
-        new_eqs, new_rules = simplify_ground_complete(eqs, rules, order)
+        new_eqs, new_rules = simplify_ground_complete(eqs, rules, order, 2000)
         assert trs_variants(new_rules,
                             [Rule(plus(x, s(y)), s(plus(x, y))),
                              Rule(plus(s(x), y), s(plus(x, y)))])
@@ -269,7 +274,7 @@ class TestSimplifyGroundComplete:
         rules = [Rule(f(x, y), g(x)), Rule(f(x, y), g(y))]
         eqs = [Equation(g(x), g(y))]
         order = OrderSpec("lpo", Precedence([("f", "g")]))
-        new_eqs, new_rules = simplify_ground_complete(eqs, rules, order)
+        new_eqs, new_rules = simplify_ground_complete(eqs, rules, order, 2000)
         assert trs_variants(new_rules, rules)
         assert len(new_eqs) == 1
         assert equation_variants(new_eqs[0], eqs[0])
@@ -277,7 +282,7 @@ class TestSimplifyGroundComplete:
     def test_ground_normal_forms_preserved(self):
         eqs, rules = [Equation(g(b, x), g(x, b))], [Rule(f(x), b)]
         order = OKB2_ORDER
-        new_eqs, new_rules = simplify_ground_complete(eqs, rules, order)
+        new_eqs, new_rules = simplify_ground_complete(eqs, rules, order, 2000)
         for t in (g(f(a), b), g(b, f(a)), f(f(a)), b):
             before = ordered_normalize(eqs, rules, order, t, 100)
             after = ordered_normalize(new_eqs, new_rules, order, t, 100)

@@ -96,6 +96,14 @@ class TestWordEncoding:
         with pytest.raises(ParseError):
             parse_problem("ab1 == ba", string_mode=True)
 
+    def test_string_problem_skips_comments_and_blank_lines(self):
+        pf = parse_problem("# words\n\nab == b  # a comment\n",
+                           string_mode=True)
+        assert pf.equations == [Equation(word_term("ab"), word_term("b"))]
+        with pytest.raises(ParseError, match="^line 3: expected 'word -> "
+                           "word' or 'word == word'$"):
+            parse_problem("# words\n\nab b\n", string_mode=True)
+
 
 class TestPositions:
     def test_root(self):
@@ -135,7 +143,7 @@ class TestTraceGrammar:
 
     def test_roundtrip(self):
         for inf in self.CASES:
-            line = format_inference(inf)
+            line = format_inference(inf, "kbf")
             assert parse_inference(line, is_var) == inf
 
     def test_variant_deduce_words(self):
@@ -154,7 +162,7 @@ class TestTraceGrammar:
     def test_deduce_without_peak_is_a_parse_error(self, line):
         with pytest.raises(ParseError, match="^line 2: a deduce needs "
                            "'from <outer> <inner> at <pos>'$"):
-            parse_trace("delete a == a\n" + line + "\n", is_var)
+            parse_trace("delete a == a\n" + line + "\n", is_var, "kbf")
 
     @pytest.mark.parametrize("variant", ["kbf", "kbo", "kbl"])
     def test_trace_deduce_word_follows_the_variant(self, variant):
@@ -191,12 +199,12 @@ class TestTraceGrammar:
                 parse_inference(bad, is_var)
 
     def test_trace_roundtrip(self):
-        text = format_trace(self.CASES)
-        assert parse_trace(text, is_var) == self.CASES
+        text = format_trace(self.CASES, "kbf")
+        assert parse_trace(text, is_var, "kbf") == self.CASES
 
     def test_parse_errors(self):
         with pytest.raises(ParseError, match="line 1"):
-            parse_trace("orient a >> b", is_var)
+            parse_trace("orient a >> b", is_var, "kbf")
         with pytest.raises(ParseError):
             parse_inference("simplify a == b lhs at e with rule#x", is_var)
         with pytest.raises(ParseError):
@@ -210,16 +218,31 @@ class TestTraceGrammar:
         ("(VAR x) (EQUATIONS\n  a == b) x",
          "expected '(' but found 'x' at line 2, column 11"),
         ("(EQUATIONS\n  f(a) == b\n", "unexpected end of input"),
-    ], ids=["missing-term", "tabs", "junk-after-section", "end-of-input"])
+        ("(VAR x ==)", "bad variable name '=='"),
+        ("(RULES a == b)", "rules need '->', found '=='"),
+        ("(EQUATIONS a -> b)", "equations need '==', found '->'"),
+    ], ids=["missing-term", "tabs", "junk-after-section", "end-of-input",
+            "reserved-variable", "equation-in-rules", "rule-in-equations"])
     def test_problem_error_messages(self, text, message):
         with pytest.raises(ParseError) as info:
             parse_problem(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("line, message", [
+        ("simplify a == b mid at e with rule#0",
+         "simplify side must be lhs or rhs"),
+        ("compose eq#0 fwd at e with rule#0",
+         "compose needs a rule#k target"),
+    ], ids=["simplify-side", "compose-target"])
+    def test_step_error_messages(self, line, message):
+        with pytest.raises(ParseError) as info:
+            parse_inference(line, is_var)
+        assert str(info.value) == message
+
     def test_trace_error_messages(self):
         with pytest.raises(ParseError) as info:
             parse_trace("orient a -> b\n\nsimplify a == ( lhs at e with "
-                        "rule#0\n", is_var)
+                        "rule#0\n", is_var, "kbf")
         assert str(info.value) == \
             "line 3: expected a term but found '(' at line 1, column 15"
         with pytest.raises(ParseError) as info:
@@ -229,7 +252,7 @@ class TestTraceGrammar:
 
     def test_blank_and_comment_lines_skipped(self):
         text = "# header\n\norient a -> b\n"
-        out = parse_trace(text, is_var)
+        out = parse_trace(text, is_var, "kbf")
         assert out == [Inference("orient", equation=Equation(a, b))]
 
 

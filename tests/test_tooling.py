@@ -1,6 +1,7 @@
-"""Source hygiene: no module of ``src/kbd`` imports a name it never uses,
-every private function and class of ``src/kbd`` is used there, every
-public one is used there or named by the bench, no code
+"""Source hygiene: no module of ``src/kbd`` and no test file imports a
+name it never uses, every private function and class of ``src/kbd`` is
+used there, every public one, and every public method of its top-level
+classes, is used there or named by the bench, no code
 of the CLI branches on the command that called it or on an order's kind,
 no CLI handler maps a failure to an exit code that ``entry`` would map,
 the bench tracer's wrappers still find what they wrap in kbd, the
@@ -31,6 +32,7 @@ SRC = os.path.join(ROOT, "src", "kbd")
 BENCH = os.path.join(ROOT, "bench")
 MODULES = sorted(path for path in glob.glob(os.path.join(SRC, "*.py"))
                  if os.path.basename(path) != "__init__.py")
+TEST_FILES = sorted(glob.glob(os.path.join(ROOT, "tests", "*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -54,7 +56,7 @@ def test_modules_found():
     assert len(MODULES) >= 8
 
 
-@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=os.path.basename)
 def test_no_unused_imports(path):
     with open(path) as fh:
         assert unused_imports(fh.read()) == []
@@ -64,6 +66,16 @@ def test_unused_import_is_reported():
     source = "import os\nfrom typing import Optional, Sequence\n" \
              "def f(x: Optional[int]): return os.sep\n"
     assert unused_imports(source) == ["Sequence (line 2)"]
+
+
+def test_unused_test_import_is_reported():
+    # a test file reads its imports in decorators, parametrize lists and
+    # helper calls
+    source = "import pytest\nfrom helpers import copy_state, is_ground\n" \
+             "from test_completion import STRATEGY_E\n" \
+             "@pytest.mark.parametrize('eqs', [STRATEGY_E])\n" \
+             "def test_f(eqs): assert copy_state(eqs)\n"
+    assert unused_imports(source) == ["is_ground (line 2)"]
 
 
 def names_read(tree: ast.AST) -> collections.Counter:
@@ -107,14 +119,20 @@ def test_unreferenced_private_definition_is_reported():
 
 def unused_public_definitions(sources: list[str],
                               named_elsewhere: set[str]) -> list[str]:
-    """The public functions and classes at the top level of ``sources``
-    that no source names outside their own definition and that are not in
-    ``named_elsewhere``."""
+    """The public functions and classes at the top level of ``sources``,
+    and the public methods and properties of their top-level classes (as
+    ``Class.name``), that no source names outside their own definition
+    and that are not in ``named_elsewhere``."""
     trees = [ast.parse(source) for source in sources]
     read = sum((names_read(tree) for tree in trees), collections.Counter())
-    return sorted(node.name for tree in trees for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and not node.name.startswith("_")
+    defined = [(node.name, node) for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    defined += [("%s.%s" % (cls.name, node.name), node)
+                for tree in trees for cls in tree.body
+                if isinstance(cls, ast.ClassDef) for node in cls.body
+                if isinstance(node, ast.FunctionDef)]
+    return sorted(label for label, node in defined
+                  if not node.name.startswith("_")
                   and node.name not in named_elsewhere
                   and read[node.name] == names_read(node)[node.name])
 
@@ -139,6 +157,20 @@ def test_unused_public_definition_is_reported():
     other = "def f(): return used() + len([Kept])\n"
     assert unused_public_definitions([lib, other], {"timed"}) == \
         ["f", "loop"]
+
+
+def test_unused_public_member_is_reported():
+    lib = "class Box:\n" \
+          "    def __init__(self): self.items = []\n" \
+          "    def put(self, x): self.items.append(x)\n" \
+          "    def copy(self): return Box()\n" \
+          "    @property\n" \
+          "    def size(self): return len(self.items)\n" \
+          "    def _check(self): return self.size\n" \
+          "    def run(self): return 0\n"
+    other = "def fill(): Box().put(1)\n"
+    assert unused_public_definitions([lib, other], {"fill", "run"}) == \
+        ["Box.copy"]
 
 
 def command_branches(source: str) -> list[str]:
