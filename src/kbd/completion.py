@@ -323,8 +323,7 @@ class RunResult:
     """Outcome of a completion run.
 
     ``status`` is 'success', 'fail' or 'out-of-fuel'; the final system is
-    ``state.R`` and ``state.E``, which for a failed run holds the
-    unorientable equations.
+    ``state``, whose E holds the unorientable equations of a failed run.
     """
 
     status: str

@@ -102,11 +102,12 @@ def innermost_redex(t: Term, candidates, order: Optional[OrderSpec] = None,
     position: ``ref`` is ``(('rule', k), False)`` for a rule, or
     ``(('eq', j), rev)`` for an equation read right-to-left when ``rev``,
     and ``view`` is that rule or oriented equation.  ``order`` is as for
-    :func:`_contractions`.  The arguments are searched, left to right,
-    before the root, where alone ``encompass`` applies: a view applies
-    there only when its matcher is not a renaming, that is, when ``t``
-    properly encompasses its left-hand side, as it always does below the
-    root.  ``result`` is ``t`` after the step.
+    :func:`_contractions`.  The arguments are searched left to right
+    before the root.  With ``encompass``, a view applies at the root only
+    when its matcher is not a renaming, that is, when ``t`` properly
+    encompasses its left-hand side; below the root it always does, so the
+    search of the arguments drops the flag.  ``result`` is ``t`` after
+    the step.
     """
     if isinstance(t, Var):
         return None
