@@ -128,9 +128,9 @@ def test_golden_output_and_trace(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", list(CASES))
 def test_golden_trace_replays(name):
     command, problem, flags, _ = CASES[name]
-    code, out, err = _run(["replay", os.path.join(FIXTURES, problem), "--script",
-                      os.path.join(GOLDEN, name + ".trace"),
-                      "--variant", VARIANTS[command]] + list(flags))
+    code, out, err = _run(["replay", os.path.join(FIXTURES, problem),
+                           "--script", os.path.join(GOLDEN, name + ".trace"),
+                           "--variant", VARIANTS[command]] + list(flags))
     assert (code, err) == (0, "")
     golden = _read(os.path.join(GOLDEN, name + ".out"))
     assert out.split("\n", 1)[1] == golden.split("\n", 1)[1]
@@ -152,17 +152,16 @@ def test_golden_listing(name, monkeypatch):
 def regenerate():
     os.makedirs(GOLDEN, exist_ok=True)
     os.environ.pop("KBD_FUEL", None)
+    runs = {name: _run(_argv(name, os.path.join(GOLDEN, name + ".trace")))
+            for name in CASES}
+    runs.update((name, _listing(name)) for name in LISTINGS)
     status = {}
-    for name in list(CASES) + list(LISTINGS):
-        if name in CASES:
-            code, out, err = _run(_argv(name, os.path.join(GOLDEN,
-                                                           name + ".trace")))
-            print(name, out.split("\n", 1)[0], file=sys.stderr)
-        else:
-            code, out, err = _listing(name)
+    for name, (code, out, err) in runs.items():
         with open(os.path.join(GOLDEN, name + ".out"), "w") as fh:
             fh.write(out)
         status[name] = [code, err]
+        if name in CASES:
+            print(name, out.split("\n", 1)[0], file=sys.stderr)
     with open(STATUS, "w") as fh:
         fh.write("{\n%s\n}\n" % ",\n".join(
             "  %s: %s" % (json.dumps(name), json.dumps(status[name]))
