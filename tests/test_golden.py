@@ -6,8 +6,9 @@ The completion commands are those of ``bench/workloads.py`` (the finite
 cases as they are, the diverge cases at a fuel cap of at most 100).  The
 listing commands are ``cps``, ``pcps``, ``check-confluence``, ``reduce``,
 ``reduce --rhs-only`` and ``reduce-ordered`` on every ``fixtures/*.trs``,
-and ``xcps`` and ``reduce-ordered`` on the ordered problems with their
-benchmark precedences; the benchmark runs none of them.  The files under
+``xcps`` and ``reduce-ordered`` on the ordered problems with their
+benchmark precedences, and ``decide`` on a few queries to the ``.es``
+problems; the benchmark runs none of them.  The files under
 ``fixtures/golden/`` are the outputs of a reference build: ``NAME.out``
 holds the stdout of run NAME, ``NAME.trace`` its trace, and
 ``status.json`` maps each NAME to its exit code and stderr.  Any change
@@ -81,6 +82,23 @@ LISTINGS.update(
     ("reduce-ordered_" + stem, ("reduce-ordered", stem + ".es",
                                 ("--prec", prec)))
     for stem, prec in ORDERED)
+# decide, its query last among the flags: kbf decides the groups queries
+# and kbo the plus one; the rest answer MAYBE or move with the engines
+LISTINGS.update(
+    ("decide_" + name, ("decide", problem, flags + (query,)))
+    for name, problem, flags, query in (
+        ("groups-valid", "groups.es", ("--prec", "i>*>e"),
+         "*(i(x),*(x,y)) == y"),
+        ("groups-invalid", "groups.es", ("--prec", "i>*>e"),
+         "*(x,y) == *(y,x)"),
+        ("plus-ground", "plus.es", ("--prec", "+>0"), "+(0,0) == 0"),
+        ("plus-partial-prec", "plus.es", ("--prec", "+>0"), "+(a,b) == a"),
+        ("comm-out-of-fuel", "comm.es", ("--prec", "+>s>0", "--fuel", "100"),
+         "+(s(0),0) == s(0)"),
+        ("okb2-one-sided", "okb2.es", ("--prec", "g>f>a>b"), "f(a) == b"),
+        ("okb1-inverse", "okb1.es", ("--prec", "*>+>->0>1"),
+         "+(-(x),x) == 0"),
+        ("okb1-unit", "okb1.es", ("--prec", "*>+>->0>1"), "+(x,0) == x")))
 
 VARIANTS = {"complete": "kbf", "complete-ground": "kbg",
             "complete-inf": "kbi", "complete-ordered": "kbo",
