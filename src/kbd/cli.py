@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Subcommands cover the five completion engines, critical-pair listings,
-interreduction, word-problem decisions, a local-confluence check, and
-trace replay.  Exit status: 0 for SUCCESS/VALID/CONFLUENT, 1 for
-FAIL/INVALID/NOT-CONFLUENT, 2 for MAYBE or unmet preconditions (among
-them terms nested too deep for Python's recursion limit), 3 for usage
-and parse errors, for a file that cannot be opened or is not UTF-8 text,
-and for output cut off by a closed pipe (as in ``kbd ... | head -1``).
+interreduction, word-problem decisions and a confluence check of
+terminating rules (both by comparing normal forms), and trace replay.
+Exit status: 0 for SUCCESS/VALID/CONFLUENT, 1 for FAIL/INVALID/
+NOT-CONFLUENT, 2 for MAYBE or unmet preconditions (among them terms
+nested too deep for Python's recursion limit), 3 for usage and parse
+errors, for a file that cannot be opened or is not UTF-8 text, and for
+output cut off by a closed pipe (as in ``kbd ... | head -1``).
 :func:`entry` alone maps each failure to its code; a library
 ``ValueError`` or ``RuntimeError`` is an unmet precondition.
 """
@@ -30,7 +31,7 @@ from .ordered import (ground_joinable, run_kbl, run_kbo,
                       simplify_ground_complete)
 from .parsing import (ParseError, ProblemFile, format_trace, parse_problem,
                       parse_term_string, parse_trace, term_word, word_term)
-from .rewriting import joinable, normalize
+from .rewriting import normalize
 from .terms import Rule, is_ground, variables
 
 EXIT_YES = 0
@@ -201,8 +202,8 @@ def cmd_reduce_ordered(args) -> int:
 def cmd_decide(args) -> int:
     pf = load_problem(args)
     if "==" not in args.query:
-        raise CliError("query must be '%s'"
-                       % ("word == word" if args.string else "term == term"))
+        raise ParseError("query must be '%s'"
+                         % ("word == word" if args.string else "term == term"))
     left, right = (part.strip() for part in args.query.split("==", 1))
     if args.string:
         if not all(w.isalpha() or w == "" for w in (left, right)):
@@ -218,27 +219,23 @@ def cmd_decide(args) -> int:
     order = build_order(args, pf)
     fuel = fuel_of(args)
     eqs = list(pf.equations) + [r.as_equation() for r in pf.rules]
-    result = run_kbf(eqs, order, fuel)
-    if result.status == "success":
-        l = normalize(result.state.R, lhs, fuel)
-        r = normalize(result.state.R, rhs, fuel)
-        if l is not None and r is not None:
-            print("VALID" if l == r else "INVALID")
-            return EXIT_YES if l == r else EXIT_NO
-    result = run_kbo(eqs, order, fuel)
-    if result.status == "success":
-        if not (is_ground(lhs) and is_ground(rhs)):
+    for engine in (run_kbf, run_kbo):
+        result = engine(eqs, order, fuel)
+        if result.status != "success":
+            continue
+        # with E empty, R is complete and its normal forms decide any
+        # query; otherwise the system is ground complete at best
+        E = result.state.E
+        if E and not (is_ground(lhs) and is_ground(rhs)):
             print("MAYBE (ordered system decides ground queries only)")
             return EXIT_MAYBE
-        verdict = ground_joinable(result.state.E, result.state.R, order,
-                                  lhs, rhs, fuel)
-        if verdict is False and not order.total_on(symbols):
+        verdict = ground_joinable(E, result.state.R, order, lhs, rhs, fuel)
+        if verdict is False and E and not order.total_on(symbols):
             print("MAYBE (the order is not total on ground terms)")
             return EXIT_MAYBE
         # ordered rewriting misses the instances of a one-sided equation
         if verdict is False and any(set(variables(e.lhs)) !=
-                                    set(variables(e.rhs))
-                                    for e in result.state.E):
+                                    set(variables(e.rhs)) for e in E):
             print("MAYBE (an equation has a variable on one side only)")
             return EXIT_MAYBE
         if verdict is not None:
@@ -278,13 +275,17 @@ def cmd_check_confluence(args) -> int:
         if bad:
             raise ValueError("rule not oriented: %s" % bad[0])
     fuel = fuel_of(args)
+    # the rules terminate, so they are confluent exactly when each prime
+    # critical pair has a single normal form
     for eq in prime_critical_pairs(pf.rules):
-        verdict = joinable(pf.rules, eq.lhs, eq.rhs, fuel)
-        if verdict is None:
+        l = normalize(pf.rules, eq.lhs, fuel)
+        r = normalize(pf.rules, eq.rhs, fuel)
+        if l is None or r is None:
             print("MAYBE (fuel exhausted on %s)" % eq)
             return EXIT_MAYBE
-        if not verdict:
-            print("NOT-CONFLUENT (%s not joinable)" % eq)
+        if l != r:
+            print("NOT-CONFLUENT (%s has normal forms %s and %s)"
+                  % (eq, l, r))
             return EXIT_NO
     print("CONFLUENT")
     return EXIT_YES

@@ -517,14 +517,11 @@ class _Driver:
                 if oriented is None:
                     self.parked.add(eq)
                     continue
-                rules = len(state.R)
+                # both sides are R-normal: no variant of the rule is in R
                 self.emit(Inference("orient", equation=eq,
-                                    reverse=(oriented[0] == eq.rhs
-                                             and eq.lhs != eq.rhs)))
+                                    reverse=oriented[0] == eq.rhs))
                 self.parked.clear()
-                if len(state.R) > rules:
-                    # a new rule, not a variant of one in R
-                    self.interreduce()
+                self.interreduce()
         except _OutOfFuel:
             return RunResult("out-of-fuel", state, self.trace)
         if state.E and not self.calculus.ordered:

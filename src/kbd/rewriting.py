@@ -3,7 +3,7 @@
 Every step is found by one primitive, :func:`_contractions`, which lists
 the ``(ref, reduct)`` of each candidate rule or oriented equation that
 applies at the root of a term.  :func:`_steps` runs it at every position
-in preorder (all one-step successors, for confluence checks and oracles),
+in preorder (all one-step successors, for :func:`conversion_oracle`),
 and :func:`innermost_redex` takes its first hit at each position in
 leftmost-innermost order: arguments left to right before the root, so
 repeated stepping computes a unique innermost normal form.  Rules,
@@ -19,7 +19,6 @@ fuel yields ``None`` (a "maybe" answer), never an exception.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
 from .orders import OrderSpec
@@ -177,45 +176,6 @@ def normalize(rules: Rules, t: Term, fuel: int) -> Optional[Term]:
     """Innermost normal form of ``t``, or None when fuel runs out."""
     nf = _normal_form(t, _rule_views(rules), None, fuel)
     return None if nf is None else nf[0]
-
-
-def all_steps(rules: Rules, t: Term) -> list[Step]:
-    """Every one-step successor of ``t``: all positions, all rules."""
-    return list(_steps(t, _rule_views(rules)))
-
-
-def joinable(rules: Rules, s: Term, t: Term, fuel: int) -> Optional[bool]:
-    """Do ``s`` and ``t`` rewrite to a common term?
-
-    Tries normal forms first (decisive for complete systems), then a
-    bidirectional breadth-first search over all reducts.  Returns True,
-    False (both reachable sets exhausted), or None when fuel runs out.
-    """
-    if s == t:
-        return True
-    sn = normalize(rules, s, fuel)
-    tn = normalize(rules, t, fuel)
-    if sn is not None and sn == tn:
-        return True
-    seen_s, seen_t = {s}, {t}
-    frontier_s, frontier_t = deque([s]), deque([t])
-    budget = fuel
-    while frontier_s or frontier_t:
-        for seen, frontier, other in ((seen_s, frontier_s, seen_t),
-                                      (seen_t, frontier_t, seen_s)):
-            if not frontier:
-                continue
-            u = frontier.popleft()
-            for _, _, v in all_steps(rules, u):
-                budget -= 1
-                if budget < 0:
-                    return None
-                if v in other:
-                    return True
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-    return False
 
 
 def ordered_step(eqs: Eqns, rules: Rules, order: Optional[OrderSpec],

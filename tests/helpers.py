@@ -1,15 +1,16 @@
 """Shared generators and small oracles for the test suites."""
 
 import itertools
+from collections import deque
 from typing import NamedTuple
 
 from kbd.completion import RunState
 from kbd.critical_pairs import _linear_condition, _overlap, dedup_pairs
 from kbd.orders import OrderSpec, Precedence, lex_ext, lpo_gt
 from kbd.parsing import ProblemFile, word_term
-from kbd.rewriting import (_equation_views, _rule_views, all_steps,
-                           innermost_redex, is_normal_form, joinable,
-                           normalize, ordered_step)
+from kbd.rewriting import (_equation_views, _rule_views, _steps,
+                           innermost_redex, is_normal_form, normalize,
+                           ordered_step)
 from kbd.terms import (Equation, Fun, Rule, Var, apply_subst, match,
                        occurs, positions, rename, rename_apart, replace_at,
                        size, subterm_at, subterms, variables)
@@ -256,6 +257,45 @@ def random_orientable_trs(rng, sig, var_names, n=3, depth=2,
 
 
 # -- brute-force confluence oracle -------------------------------------
+
+def all_steps(rules, t):
+    """Every one-step successor of ``t``: all positions, all rules."""
+    return list(_steps(t, _rule_views(rules)))
+
+
+def joinable(rules, s, t, fuel):
+    """Do ``s`` and ``t`` rewrite to a common term?
+
+    Tries normal forms first (decisive for complete systems), then a
+    bidirectional breadth-first search over all reducts.  Returns True,
+    False (both reachable sets exhausted), or None when fuel runs out.
+    """
+    if s == t:
+        return True
+    sn = normalize(rules, s, fuel)
+    tn = normalize(rules, t, fuel)
+    if sn is not None and sn == tn:
+        return True
+    seen_s, seen_t = {s}, {t}
+    frontier_s, frontier_t = deque([s]), deque([t])
+    budget = fuel
+    while frontier_s or frontier_t:
+        for seen, frontier, other in ((seen_s, frontier_s, seen_t),
+                                      (seen_t, frontier_t, seen_s)):
+            if not frontier:
+                continue
+            u = frontier.popleft()
+            for _, _, v in all_steps(rules, u):
+                budget -= 1
+                if budget < 0:
+                    return None
+                if v in other:
+                    return True
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+    return False
+
 
 def brute_force_confluent(rules, terms, fuel=500):
     """Check joinability of every one-step peak from the given terms."""

@@ -21,16 +21,17 @@ from kbd.orders import KboWeights, OrderSpec, Precedence
 from kbd.ordered import (ground_joinable, run_kbl, run_kbo,
                          simplify_ground_complete)
 from kbd.parsing import word_term
-from kbd.rewriting import all_steps, joinable, normalize, ordered_normalize
+from kbd.rewriting import normalize, ordered_normalize
 from kbd.terms import (Equation, Fun, Rule, Var, apply_subst,
                        equation_variants, match, positions, replace_at,
                        subterm_at, variables)
 
-from helpers import (GROUND_SIG, brute_force_confluent,
-                     enumerate_ground_terms, is_reduced, random_ground_es,
-                     random_ground_term, random_linear_term,
-                     random_orientable_trs, random_reduced_ground_trs,
-                     same_normal_forms, word_over)
+from helpers import (GROUND_SIG, all_steps, brute_force_confluent,
+                     enumerate_ground_terms, is_reduced, joinable,
+                     random_ground_es, random_ground_term,
+                     random_linear_term, random_orientable_trs,
+                     random_reduced_ground_trs, same_normal_forms,
+                     word_over)
 from test_completion import (STRATEGY_E, STRATEGY_ORDER, STRATEGY_R,
                              scripted_failure, scripted_success)
 from test_ordered import (OKB1_E, OKB1_ORDER, OKB1_R, OKB2_E, OKB2_ORDER,

@@ -7,8 +7,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kbd.cli import COMMANDS, entry, make_parser
+from kbd.critical_pairs import prime_critical_pairs
+from kbd.orders import Precedence
+from kbd.terms import Fun, Rule, Var
+
+from helpers import joinable, lpo_order
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -354,33 +361,38 @@ class TestDecide:
         assert run(capsys, "decide", str(path), "--string", query)[:2] == \
             (code, verdict + "\n")
 
-    @pytest.mark.parametrize("problem, flags, query", [
-        ("aa.str", ("--string",), "a b == a"),
-        ("aa.str", ("--string",), "a(b) == a"),
-        ("groups.es", ("--prec", "i>*>e"), "*(x) == x"),
-    ], ids=["string-blank", "string-term", "arity"])
+    @pytest.mark.parametrize("problem, flags, query, message", [
+        ("aa.str", ("--string",), "a b == a",
+         "query words must be alphabetic"),
+        ("aa.str", ("--string",), "a(b) == a",
+         "query words must be alphabetic"),
+        ("groups.es", ("--prec", "i>*>e"), "*(x) == x",
+         "symbol * used with arities 2 and 1"),
+        ("aa.str", ("--string",), "aa", "query must be 'word == word'"),
+        ("groups.es", ("--prec", "i>*>e"), "aa",
+         "query must be 'term == term'"),
+    ], ids=["string-blank", "string-term", "arity", "string-no-equals",
+            "term-no-equals"])
     def test_malformed_query_is_a_parse_error(self, capsys, tmp_path,
-                                              problem, flags, query):
+                                              problem, flags, query,
+                                              message):
         path = tmp_path / "aa.str"
         path.write_text("aa == a\n")
         if problem != "aa.str":
             path = fixture(problem)
-        code, out, err = run(capsys, "decide", str(path), *flags, query)
-        assert (code, out) == (3, "")
-        assert len(err.splitlines()) == 1 and err.startswith("PARSE-ERROR")
+        assert run(capsys, "decide", str(path), *flags, query) == \
+            (3, "", "PARSE-ERROR (%s)\n" % message)
 
-    @pytest.mark.parametrize("problem, flags, shape", [
-        ("aa.str", ("--string",), "word == word"),
-        ("groups.es", ("--prec", "i>*>e"), "term == term"),
-    ], ids=["string", "term"])
-    def test_query_without_equals_is_a_usage_error(self, capsys, tmp_path,
-                                                   problem, flags, shape):
-        path = tmp_path / "aa.str"
-        path.write_text("aa == a\n")
-        if problem != "aa.str":
-            path = fixture(problem)
-        assert run(capsys, "decide", str(path), *flags, "aa") == \
-            (3, "", "ERROR (query must be '%s')\n" % shape)
+    @pytest.mark.parametrize("query, verdict", [
+        ("+(-(x),x) == 0", (0, "VALID\n", "")),
+        ("+(x,0) == x", (1, "INVALID\n", "")),
+    ], ids=["inverse", "unit"])
+    def test_empty_e_decides_non_ground_queries(self, capsys, query,
+                                                verdict):
+        """kbf fails on okb1, and kbo ends with no equation left: its
+        rules are complete, so they decide a query with variables."""
+        assert run(capsys, "decide", fixture("okb1.es"), "--prec",
+                   "*>+>->0>1", query) == verdict
 
 
 class TestCheckConfluence:
@@ -440,6 +452,41 @@ class TestCheckConfluence:
         prob.write_text("(RULES a -> b)")
         assert run(capsys, "check-confluence", str(prob), "--prec", "b>a") \
             == (2, "", "PRECONDITION-FAILED (rule not oriented: a -> b)\n")
+
+
+TERMS = st.recursive(
+    st.sampled_from([Var("x"), Var("y"), Fun("a"), Fun("b")]),
+    lambda kids: st.one_of(
+        st.builds(lambda s: Fun("g", (s,)), kids),
+        st.builds(lambda s, t: Fun("f", (s, t)), kids, kids)),
+    max_leaves=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(st.tuples(TERMS, TERMS), min_size=2, max_size=4),
+       symbols=st.permutations(["f", "g", "a", "b"]))
+def test_check_confluence_agrees_with_the_search_oracle(tmp_path_factory,
+                                                        pairs, symbols):
+    """Under a total LPO that orients the rules, check-confluence answers
+    as a breadth-first search for a common reduct of each prime critical
+    pair does, wherever the search decides."""
+    order = lpo_order(Precedence.total(symbols))
+    rules = [Rule(*lr) for lr in (order.orient(l, r) for l, r in pairs)
+             if lr is not None]
+    assume(rules)
+    verdicts = [joinable(rules, eq.lhs, eq.rhs, 300)
+                for eq in prime_critical_pairs(rules)]
+    assume(False in verdicts or None not in verdicts)
+    path = tmp_path_factory.mktemp("trs") / "p.trs"
+    path.write_text("(VAR x y)\n(RULES\n%s\n)\n" % "\n".join(
+        "  %s" % r for r in rules))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = entry(["check-confluence", str(path), "--prec",
+                      ">".join(symbols)])
+    assert code == (1 if False in verdicts else 0)
+    assert out.getvalue().startswith(
+        "NOT-CONFLUENT" if False in verdicts else "CONFLUENT")
 
 
 class TestReplayDeduce:

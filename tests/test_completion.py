@@ -9,10 +9,10 @@ from kbd.canonicity import trs_variants
 from kbd.critical_pairs import prime_critical_pairs
 from kbd.orders import OrderSpec, Precedence, KboWeights
 from kbd.parsing import word_term
-from kbd.rewriting import joinable, normalize
+from kbd.rewriting import normalize
 from kbd.terms import Equation, Fun, Rule, Var, pair_variants
 
-from helpers import copy_state, is_reduced, word_over
+from helpers import copy_state, is_reduced, joinable, word_over
 
 x, y = Var("x"), Var("y")
 a, b, c, d = Fun("a"), Fun("b"), Fun("c"), Fun("d")

@@ -89,6 +89,21 @@ def test_engine_trace_roundtrips_and_replays(k):
     assert state.E == result.state.E
 
 
+@pytest.mark.parametrize("k", range(len(ENGINE_RUNS)),
+                         ids=[run_id(r) for r in ENGINE_RUNS])
+def test_every_orient_adds_a_rule(k):
+    """The engines orient an equation only once both sides are R-normal,
+    so the new rule is never a variant of one already in R."""
+    _, _, variant, order, _ = ENGINE_RUNS[k]
+    pf, result = engine_run(k)
+    state = RunState.start(pf.equations)
+    for inf in result.trace:
+        rules = len(state.R)
+        apply_inference(state, inf, variant, order)
+        if inf.kind == "orient":
+            assert len(state.R) == rules + 1
+
+
 @pytest.mark.parametrize("k", [6, 9], ids=["braid-kbi", "comm-kbo"])
 def test_old_format_trace_is_a_parse_error(k):
     """Stripping every ``from ...`` suffix leaves a trace whose first

@@ -5,15 +5,14 @@ from hypothesis import strategies as st
 
 from kbd.orders import OrderSpec, Precedence
 from kbd.rewriting import (_equation_views, _normal_form, _rule_views,
-                           all_steps, conversion_oracle, is_normal_form,
-                           joinable, normalize, ordered_normalize,
-                           ordered_step, rewrite_step)
+                           conversion_oracle, is_normal_form, normalize,
+                           ordered_normalize, ordered_step, rewrite_step)
 from kbd.terms import (Equation, Fun, Rule, Var, apply_subst, match,
                        positions, replace_at, same, size, subterm_at,
                        variables)
 
-from helpers import (GROUND_SIG, postorder_positions, random_ground_term,
-                     stepwise_normal_form)
+from helpers import (GROUND_SIG, all_steps, joinable, postorder_positions,
+                     random_ground_term, stepwise_normal_form)
 
 x, y = Var("x"), Var("y")
 a, b, c = Fun("a"), Fun("b"), Fun("c")
