@@ -82,8 +82,9 @@ LISTINGS.update(
     ("reduce-ordered_" + stem, ("reduce-ordered", stem + ".es",
                                 ("--prec", prec)))
     for stem, prec in ORDERED)
-# decide, its query last among the flags: kbf decides the groups queries
-# and kbo the plus one; the rest answer MAYBE or move with the engines
+# decide, its query last among the flags: kbf decides the groups queries,
+# kbo the plus one and, with no equation left, the okb1 ones; the rest
+# answer MAYBE
 LISTINGS.update(
     ("decide_" + name, ("decide", problem, flags + (query,)))
     for name, problem, flags, query in (
