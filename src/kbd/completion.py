@@ -30,8 +30,8 @@ from .orders import OrderSpec
 from .rewriting import (_contractions, _equation_views, _format_ref,
                         _normal_form, _rule_views, innermost_redex)
 from .terms import (Equation, Fun, InvalidPosition, Position, Rule, RuleLike,
-                    Term, Var, canonical_pair, replace_at, size, subterm_at,
-                    subterms, variables)
+                    Term, Var, canonical_pair, match, replace_at, size,
+                    subterm_at, subterms, variables)
 
 
 class SideConditionError(Exception):
@@ -356,14 +356,12 @@ class _Driver:
         self.parked: set[Equation] = set()
         # the pick key of each equation in E (see priority)
         self.priorities: dict[Equation, tuple[int, str]] = {}
-        # the overlaps of the peak views, kept from one fairness scan to
-        # the next
+        # the peak views' overlaps, kept from one fairness scan to the next
         self.overlaps = OverlapCache()
-        # the append-only e_union's members read both ways, and in the
-        # ordered calculi their canonical pairs, fed from its new tail
-        self.e_union_views: list = []
-        self.recorded: set = set()
-        # critical pairs that one step with an e_union member connects,
+        # the e_union members filed by _file_pairs, and how many they are
+        self.e_union_pairs: dict = {}
+        self.fed = 0
+        # critical pairs that one ↔E step with an e_union member connects,
         # which stays so as e_union grows: those that passed the test,
         # and those deduced (whose own equation, once in e_union, steps
         # from one side to the other at the root)
@@ -446,55 +444,38 @@ class _Driver:
         return r is not None and l[0] == r[0]
 
     def feed_e_union(self):
-        """Extend ``e_union_views`` and, in the ordered calculi,
-        ``recorded`` by the members added to ``e_union`` since the last
-        call.  The views' references index the tail they came from; only
-        the views are read."""
-        new = self.state.e_union[len(self.e_union_views) // 2:]
-        self.e_union_views += _equation_views(new)
-        if self.calculus.ordered:
-            for e in new:
-                self.recorded.add(canonical_pair(e))
-                self.recorded.add(canonical_pair(e.reversed()))
+        """File the members added to ``e_union`` since the last call in
+        ``e_union_pairs``, both ways round (see :func:`_file_pairs`)."""
+        _file_pairs(self.e_union_pairs, self.state.e_union[self.fed:])
+        self.fed = len(self.state.e_union)
 
     def fairness_gap(self) -> list[tuple[Equation, Peak]]:
         """Prime critical pairs of the current system not yet accounted
-        for, with their peaks.
-
-        A pair is covered when its sides join in their normal forms or a
-        single step with a recorded equation connects them.  The ordered
-        calculi, which keep equations unoriented, also count a variant of
-        a recorded equation, which a single step misses when the sides
-        differ in their variables; they test it first, as it is cheapest.
-
-        Of these tests only joining can change its answer from one scan
-        to the next, as R and E change: a recorded equation stays
-        recorded, and a step with one stays a step.  So a pair found
-        connected (``connected``) is not tested again, and each pair's
-        variant key comes with its overlap, computed once per run.
-        """
+        for, with their peaks.  In every calculus a pair is covered when
+        its sides join in their normal forms or one ↔E step with an
+        ``e_union`` member connects them (:func:`single_step_connects`).
+        Only joining can change its answer from one scan to the next, as R
+        and E change; ``e_union`` only grows, so a pair found
+        ``connected`` is not tested again."""
         calc = self.calculus
         if not calc.deduces:
             return []
         self.feed_e_union()
-        ordered = calc.ordered
         peaks = peak_pairs(_peak_views(self.state, calc),
-                           self.order if ordered else None, calc.linear,
+                           self.order if calc.ordered else None, calc.linear,
                            cache=self.overlaps)
-        return [(eq, peak) for eq, peak, key in peaks
-                if not (eq.is_trivial()
-                        or ordered and key in self.recorded
-                        or eq in self.connected
+        return [(eq, peak) for eq, peak in peaks
+                if not (eq.is_trivial() or eq in self.connected
                         or self.joins(eq.lhs, eq.rhs)
                         or self.steps_across(eq))]
 
     def steps_across(self, eq: Equation) -> bool:
-        """Does one step with an ``e_union`` member connect the sides of
-        ``eq``?  A yes is kept in ``connected``."""
-        if single_step_connects(self.e_union_views, eq.lhs, eq.rhs):
+        """Does one ↔E step with an ``e_union`` member connect the sides
+        of ``eq``?  A yes is kept in ``connected``."""
+        connects = single_step_connects(self.e_union_pairs, eq.lhs, eq.rhs)
+        if connects:
             self.connected.add(eq)
-            return True
-        return False
+        return connects
 
     def run(self) -> RunResult:
         state = self.state
@@ -550,12 +531,30 @@ def _step_sites(s: Term, t: Term) -> list[tuple[Term, Term]]:
     return out
 
 
-def single_step_connects(views, s: Term, t: Term) -> bool:
-    """Is there a single step from ``s`` to ``t`` with one of the
-    candidate ``views`` (for an equational step, the equations' views both
-    ways, as ``_equation_views`` builds them)?"""
-    return any(reduct == target for sub, target in _step_sites(s, t)
-               for _, reduct in _contractions(sub, views))
+def _file_pairs(filed: dict, eqs: Sequence[Equation]):
+    """File each of ``eqs`` in ``filed``, both ways round, as the pair
+    term ``=(l, r)`` under the root symbol of l (None for a variable),
+    after those filed before."""
+    for eq in eqs:
+        for l, r in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
+            key = l.symbol if isinstance(l, Fun) else None
+            filed.setdefault(key, []).append(Fun("=", (l, r)))
+
+
+def single_step_connects(filed: dict, s: Term, t: Term) -> bool:
+    """Is ``s`` one ↔E step from ``t``, E being the equations filed by
+    :func:`_file_pairs`: does a filed ``=(l, r)`` match ``=(s|p, t|p)``
+    at a position p outside which s and t agree?  One matcher binds both
+    sides, and each equation is filed both ways round, so the relation is
+    symmetric.  Only the pairs filed under s|p's root symbol or None can
+    match."""
+    for u, v in _step_sites(s, t):
+        subject = Fun("=", (u, v))
+        keys = (u.symbol, None) if isinstance(u, Fun) else (None,)
+        if any(match(pair, subject) is not None
+               for key in keys for pair in filed.get(key, ())):
+            return True
+    return False
 
 
 def run_kbf(eqs: Sequence[Equation], order: OrderSpec,

@@ -138,9 +138,9 @@ class OverlapCache:
 def peak_pairs(views, order: Optional[OrderSpec] = None,
                linear: bool = False, prime: bool = True,
                cache: Optional[OverlapCache] = None
-               ) -> Iterator[tuple[Equation, Peak, tuple[Term, Term]]]:
+               ) -> Iterator[tuple[Equation, Peak]]:
     """The critical pairs of ``views``, each with the first peak that
-    yields it and its variant key.
+    yields it.
 
     ``views`` are ``(ref, view)`` pairs as :func:`kbd.rewriting.
     _rule_views` and :func:`kbd.rewriting._equation_views` build them.
@@ -173,7 +173,7 @@ def peak_pairs(views, order: Optional[OrderSpec] = None,
                         innermost_redex(a, views, order) for a in redex.args):
                     continue
                 seen.add(key)
-                yield pair, Peak(oref, iref, pos), key
+                yield pair, Peak(oref, iref, pos)
 
 
 def dedup_pairs(eqs: Sequence[RuleLike]) -> list[RuleLike]:
@@ -191,14 +191,13 @@ def dedup_pairs(eqs: Sequence[RuleLike]) -> list[RuleLike]:
 
 def critical_pairs(rules: Rules) -> list[Equation]:
     """CP(R): all critical pairs, deduplicated up to literal similarity."""
-    return [pair for pair, _, _ in
-            peak_pairs(_rule_views(rules), prime=False)]
+    return [pair for pair, _ in peak_pairs(_rule_views(rules), prime=False)]
 
 
 def prime_critical_pairs(rules: Rules) -> list[Equation]:
     """PCP(R): critical pairs whose contracted redex has irreducible
     proper subterms."""
-    return [pair for pair, _, _ in peak_pairs(_rule_views(rules))]
+    return [pair for pair, _ in peak_pairs(_rule_views(rules))]
 
 
 def extended_critical_pairs(eqs: Eqns, rules: Rules,
@@ -209,7 +208,7 @@ def extended_critical_pairs(eqs: Eqns, rules: Rules,
     conditions require r1μ not > l1μ and r2μ not > l2μ.
     """
     views = _rule_views(rules) + _equation_views(eqs)
-    return [pair for pair, _, _ in peak_pairs(views, order)]
+    return [pair for pair, _ in peak_pairs(views, order)]
 
 
 def linear_critical_pairs(eqs: Eqns, rules: Rules,
@@ -221,4 +220,4 @@ def linear_critical_pairs(eqs: Eqns, rules: Rules,
     themselves, before instantiation).
     """
     views = _rule_views(rules) + _equation_views(eqs)
-    return [pair for pair, _, _ in peak_pairs(views, order, linear=True)]
+    return [pair for pair, _ in peak_pairs(views, order, linear=True)]

@@ -469,3 +469,61 @@ def word_over(word, var):
     """The unary term of ``word`` (see :func:`kbd.parsing.word_term`)
     with the variable ``var`` at the bottom."""
     return rename(word_term(word), {"x": var})
+
+
+# -- congruence closure: an oracle for ground completion ---------------
+
+def congruence_closure_rules(eqs, order):
+    """The reduced ground system of the ground ``eqs`` under the
+    ground-total ``order``, by congruence closure over their subterms
+    (Nelson and Oppen, JACM 1980): a union-find with a signature table
+    merges the classes, each class's least member is built from the least
+    members of its argument classes, and each subterm whose arguments,
+    replaced by those, do not make its class's least member gives a rule
+    to it."""
+    terms = {}  # each subterm, arguments first, with its number
+
+    def add(t):
+        if t not in terms:
+            for a in t.args:
+                add(a)
+            terms[t] = len(terms)
+
+    for eq in eqs:
+        add(eq.lhs)
+        add(eq.rhs)
+    parent = list(range(len(terms)))
+
+    def find(t):
+        i = terms[t]
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for eq in eqs:
+        parent[find(eq.lhs)] = find(eq.rhs)
+    merged = True
+    while merged:
+        merged, table = False, {}
+        for t in terms:
+            other = table.setdefault(
+                (t.symbol, tuple(find(a) for a in t.args)), t)
+            if find(other) != find(t):
+                parent[find(other)] = find(t)
+                merged = True
+    least = {}
+    lowered = True
+    while lowered:
+        lowered = False
+        for t in terms:
+            if all(find(a) in least for a in t.args):
+                u = Fun(t.symbol, tuple(least[find(a)] for a in t.args))
+                if find(t) not in least or order.gt(least[find(t)], u):
+                    least[find(t)] = u
+                    lowered = True
+    rules = set()
+    for t in terms:
+        u = Fun(t.symbol, tuple(least[find(a)] for a in t.args))
+        if u != least[find(t)]:
+            rules.add(Rule(u, least[find(t)]))
+    return rules

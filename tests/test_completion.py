@@ -1,6 +1,10 @@
 """Completion engines: inference application, scripted replays, runs."""
 
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbd.completion import (CALCULI, Inference, Peak, RunState,
                             SideConditionError, apply_inference, replay,
@@ -8,11 +12,12 @@ from kbd.completion import (CALCULI, Inference, Peak, RunState,
 from kbd.canonicity import trs_variants
 from kbd.critical_pairs import prime_critical_pairs
 from kbd.orders import OrderSpec, Precedence, KboWeights
-from kbd.parsing import word_term
+from kbd.parsing import parse_problem, word_term
 from kbd.rewriting import normalize
 from kbd.terms import Equation, Fun, Rule, Var, pair_variants
 
-from helpers import copy_state, is_reduced, joinable, word_over
+from helpers import (congruence_closure_rules, copy_state, is_reduced,
+                     joinable, word_over)
 
 x, y = Var("x"), Var("y")
 a, b, c, d = Fun("a"), Fun("b"), Fun("c"), Fun("d")
@@ -30,6 +35,18 @@ STRATEGY_E = [Equation(a, b), Equation(a, c), Equation(f(b), b),
               Equation(f(a), d)]
 STRATEGY_ORDER = lpo([("a", "b"), ("b", "d"), ("a", "c"), ("c", "d")])
 STRATEGY_R = [Rule(a, b), Rule(b, d), Rule(c, d), Rule(f(d), d)]
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+# ground terms of depth at most 4 over three constants, two unary symbols
+# and a binary one
+GROUND_SYMBOLS = ["a", "b", "c", "f", "g", "h"]
+GROUND_TERMS = st.recursive(
+    st.sampled_from([a, b, c]), lambda kids: st.one_of(
+        st.builds(lambda t: Fun("f", (t,)), kids),
+        st.builds(lambda t: Fun("g", (t,)), kids),
+        st.builds(lambda s, t: Fun("h", (s, t)), kids, kids)),
+    max_leaves=4)
 
 
 class TestApplyInference:
@@ -366,6 +383,34 @@ class TestRunKbg:
         assert exact.status == "success"
         assert exact.trace == full.trace
         assert exact.state.R == full.state.R
+
+    @pytest.mark.parametrize("kind", ["lpo", "kbo"])
+    @settings(max_examples=100, deadline=None)
+    @given(eqs=st.lists(st.builds(Equation, GROUND_TERMS, GROUND_TERMS),
+                        min_size=1, max_size=6),
+           prec=st.permutations(GROUND_SYMBOLS),
+           weights=st.lists(st.integers(1, 3), min_size=6, max_size=6))
+    def test_rules_are_the_congruence_closure_system(self, kind, eqs, prec,
+                                                     weights):
+        """Every kbg run under a total LPO or KBO ends in the one reduced
+        system for its order, which congruence closure computes
+        independently."""
+        order = OrderSpec(kind, Precedence.total(prec),
+                          KboWeights(1, dict(zip(GROUND_SYMBOLS, weights))))
+        result = run_kbg(eqs, order)
+        assert result.status == "success"
+        assert set(result.state.R) == congruence_closure_rules(eqs, order)
+
+    def test_golden_is_the_congruence_closure_system(self):
+        """The ``complete-ground`` golden system is the oracle's."""
+        def read(*path):
+            with open(os.path.join(FIXTURES, *path)) as fh:
+                return fh.read()
+        eqs = parse_problem(read("ground.es")).equations
+        golden = read("golden", "ground.out").split("\n", 1)[1]
+        order = OrderSpec("lpo", Precedence.total(["a", "b", "c", "f"]))
+        assert set(parse_problem(golden).rules) == \
+            congruence_closure_rules(eqs, order)
 
     def test_kbg_stuck_without_deduce(self):
         # ground completion cannot proceed on the f(x) ≈ f(a) system,

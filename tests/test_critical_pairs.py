@@ -114,9 +114,9 @@ class TestPrimeCriticalPairs:
         # argument a -> a reduces; a -> a into f(a) at 1 contracts a
         views = _rule_views(PCPEX)
         every = list(peak_pairs(views, prime=False))
-        assert {peak.pos for _, peak, _ in every} == {(), (1,)}
-        assert list(peak_pairs(views)) == [(pair, peak, key)
-                                           for pair, peak, key in every
+        assert {peak.pos for _, peak in every} == {(), (1,)}
+        assert list(peak_pairs(views)) == [(pair, peak)
+                                           for pair, peak in every
                                            if peak.pos != ()]
 
 
@@ -222,7 +222,7 @@ def test_peak_pairs_match_reference(rules, eqs, order):
     assert linear_critical_pairs(eqs, rules, order) == \
         reference_pairs(rules, eqs, order, linear=True)
     views = _rule_views(rules) + _equation_views(eqs)
-    assert [pair for pair, _, _ in peak_pairs(views, order, prime=False)] == \
+    assert [pair for pair, _ in peak_pairs(views, order, prime=False)] == \
         reference_pairs(rules, eqs, order, prime=False)
     # overlaps cached from a scan of other views give the same scan
     cache = OverlapCache()

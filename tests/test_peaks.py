@@ -17,18 +17,17 @@ from hypothesis import strategies as st
 
 from kbd.cli import parse_precedence
 from kbd.completion import (CALCULI, Inference, Peak, RunState,
-                            SideConditionError, _Driver, _peak_views,
-                            apply_inference, is_linear, replay, run_kbf,
-                            run_kbg, run_kbi, single_step_connects)
+                            SideConditionError, _Driver, _file_pairs,
+                            _peak_views, apply_inference, is_linear, replay,
+                            run_kbf, run_kbg, run_kbi, single_step_connects)
 from kbd.critical_pairs import pair_overlaps, peak_pairs
 from kbd.ordered import _OrderedDriver, run_kbl, run_kbo
 from kbd.orders import KboWeights, OrderSpec, Precedence
 from kbd.parsing import (ParseError, ProblemFile, format_trace,
                          parse_problem, parse_trace)
-from kbd.rewriting import _equation_views, normalize, ordered_normalize
-from kbd.terms import (Equation, Fun, Rule, Var, apply_subst,
-                       canonical_pair, match, pair_variants, positions,
-                       replace_at, subterm_at)
+from kbd.rewriting import normalize, ordered_normalize
+from kbd.terms import (Equation, Fun, Rule, Var, apply_subst, match,
+                       positions, replace_at, subterm_at)
 
 from helpers import copy_state, reference_pairs
 
@@ -183,7 +182,9 @@ def test_equation_refs_need_an_ordered_calculus():
 # ------------------------------------------------ the incremental scan
 
 def old_single_step_connects(eqs, s, t):
-    """The all-positions scan that single_step_connects replaces."""
+    """The one-sided step from s to t that single_step_connects tested
+    before it matched both sides with one matcher: rσ stands for t|p, with
+    the variables of r that l lacks left as they are."""
     for eq in eqs:
         for l, r in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
             for pos in positions(s):
@@ -207,10 +208,35 @@ TERMS = terms_over([Var("x"), Var("y"), Fun("a"), Fun("b")])
 GROUND_TERMS = terms_over([Fun("a"), Fun("b")])
 
 
+HOLE = Fun("[]")
+
+
+def one_step_apart(eqs, s, t):
+    """The paper's one ↔E step, from its definition: at a position p of
+    both ``s`` and ``t`` where their contexts agree, an equation ``l ==
+    r`` of ``eqs``, either way round, has ``match(l, s|p)`` and ``match(r,
+    t|p)`` that agree on their shared variables."""
+    at_t = set(positions(t))
+    for pos in positions(s):
+        if pos not in at_t or \
+                replace_at(s, pos, HOLE) != replace_at(t, pos, HOLE):
+            continue
+        for eq in eqs:
+            for l, r in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
+                left = match(l, subterm_at(s, pos))
+                right = match(r, subterm_at(t, pos))
+                if left is not None and right is not None and all(
+                        left[v] == right[v] for v in left.keys() & right):
+                    return True
+    return False
+
+
 @settings(max_examples=200, deadline=None)
 @given(eqs=st.lists(st.builds(Equation, TERMS, TERMS), max_size=3),
        s=TERMS, data=st.data())
 def test_single_step_connects_matches_full_scan(eqs, s, data):
+    """The filed pair terms give exactly the one ↔E step, which is
+    symmetric and contains the one-sided steps from s to t."""
     successors = [replace_at(s, pos, apply_subst(sigma, r))
                   for eq in eqs
                   for l, r in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs))
@@ -221,8 +247,27 @@ def test_single_step_connects_matches_full_scan(eqs, s, data):
     if successors:
         choices.append(st.sampled_from(successors))
     t = data.draw(st.one_of(*choices))
-    assert single_step_connects(_equation_views(eqs), s, t) == \
-        old_single_step_connects(eqs, s, t)
+    filed = {}
+    _file_pairs(filed, eqs)
+    connects = single_step_connects(filed, s, t)
+    assert connects == one_step_apart(eqs, s, t)
+    assert single_step_connects(filed, t, s) == connects
+    assert connects or not old_single_step_connects(eqs, s, t)
+
+
+def test_one_step_connects_either_way_round():
+    """One matcher binds both sides, so a variable on one side only, or
+    sides that differ in their variables, do not make the step depend on
+    the direction of the pair."""
+    x, y, z, w, a, b = Var("x"), Var("y"), Var("z"), Var("w"), Fun("a"), \
+        Fun("b")
+    f, g = (lambda *ts: Fun("f", ts)), (lambda *ts: Fun("g", ts))
+    for eq, s, t in [(Equation(f(x), g(x, y)), f(a), g(a, b)),
+                     (Equation(f(x), g(y)), f(z), g(w))]:
+        filed = {}
+        _file_pairs(filed, [eq])
+        assert single_step_connects(filed, s, t)
+        assert single_step_connects(filed, t, s)
 
 
 EQUATION = st.builds(Equation, TERMS, TERMS)
@@ -308,7 +353,7 @@ def plain_reference_gap(driver):
         l, r = normalize(R, eq.lhs, 2000), normalize(R, eq.rhs, 2000)
         if l is not None and l == r:
             continue
-        if old_single_step_connects(driver.state.e_union, eq.lhs, eq.rhs):
+        if one_step_apart(driver.state.e_union, eq.lhs, eq.rhs):
             continue
         gap.append(eq)
     return gap
@@ -320,10 +365,7 @@ def ordered_reference_gap(driver):
     for eq in reference_pairs(R, E, order, linear=driver.variant == "kbl"):
         if eq.is_trivial():
             continue
-        if any(pair_variants(eq, e) or pair_variants(eq, e.reversed())
-               for e in driver.state.e_union):
-            continue
-        if old_single_step_connects(driver.state.e_union, eq.lhs, eq.rhs):
+        if one_step_apart(driver.state.e_union, eq.lhs, eq.rhs):
             continue
         l = ordered_normalize(E, R, order, eq.lhs, 2000)
         r = ordered_normalize(E, R, order, eq.rhs, 2000)
@@ -361,19 +403,14 @@ def test_gap_matches_public_critical_pairs(monkeypatch, name, engine, order,
 
 def memo_free_gap(driver):
     """The fairness gap of ``driver``'s state computed from scratch: a
-    fresh enumeration, fresh variant keys of the pairs and of e_union,
-    and every coverage test run again."""
+    fresh enumeration, and every coverage test run again, the one ↔E step
+    from its definition."""
     calc, state = driver.calculus, driver.state
     order = driver.order if calc.ordered else None
-    views = _equation_views(state.e_union)
-    recorded = {canonical_pair(e) for e in state.e_union} | \
-        {canonical_pair(e.reversed()) for e in state.e_union}
-    return [(eq, peak) for eq, peak, _ in
+    return [(eq, peak) for eq, peak in
             peak_pairs(_peak_views(state, calc), order, calc.linear)
-            if not (eq.is_trivial()
-                    or calc.ordered and canonical_pair(eq) in recorded
-                    or driver.joins(eq.lhs, eq.rhs)
-                    or single_step_connects(views, eq.lhs, eq.rhs))]
+            if not (eq.is_trivial() or driver.joins(eq.lhs, eq.rhs)
+                    or one_step_apart(state.e_union, eq.lhs, eq.rhs))]
 
 
 class ScanCheckedDriver(_Driver):
@@ -408,10 +445,11 @@ def test_joins_is_tested_again_on_every_scan():
     """A pair that joins on one scan can be in the gap of a later one
     (here after collapses), so joining is the one test that is not kept
     from scan to scan."""
-    x, y, a = Var("x"), Var("y"), Fun("a")
-    f, g = (lambda s, t: Fun("f", (s, t))), (lambda t: Fun("g", (t,)))
-    eqs = [Equation(a, g(g(y))), Equation(a, f(x, g(g(x)))),
-           Equation(g(g(f(x, a))), f(g(x), y))]
+    eqs = parse_problem(
+        "(VAR x) (EQUATIONS g(g(a)) == f(f(g(b),g(a)),g(g(a)))"
+        "  f(g(g(x)),g(x)) == g(g(g(x)))"
+        "  f(f(f(x,x),f(b,a)),g(f(a,b))) == f(f(g(a),x),f(f(a,b),f(a,b)))"
+        "  g(g(f(x,x))) == g(f(x,f(b,b))))").equations
     joined, reappeared = set(), []
 
     class Probe(ScanCheckedDriver):
@@ -426,8 +464,7 @@ def test_joins_is_tested_again_on_every_scan():
             reappeared.extend(eq for eq, _ in gap if eq in joined)
             return gap
 
-    Probe(eqs, OrderSpec("lpo", Precedence.total(["f", "a", "b", "g"])),
-          "kbf", 40).run()
+    Probe(eqs, lpo("a>g>f>b"), "kbi", 30).run()
     assert reappeared
 
 

@@ -7,9 +7,9 @@ search, and ``_Driver.joins``, one normalization of a critical pair.
 Both counts are deterministic (the same under every ``PYTHONHASHSEED``),
 and each bound sits about 25% above the count of the search that tries
 only the sites of the inner root symbol, rejects a linear pair before
-unifying, and keeps the pairs that one step with a recorded equation
-connects.  Searching every function position, or joining every pair on
-every scan, exceeds the bounds several times over.
+unifying, and keeps the pairs that one ↔E step with a member of
+``e_union`` connects.  Searching every function position, or joining
+every pair on every scan, exceeds the bounds several times over.
 
 A call of ``kbd`` also builds its argument parser, and builds the
 subparser of the command it runs alone.
@@ -30,6 +30,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 DEVIE = ("complete", "devie.es", "--prec", "i1>i2>f1>f2>g1>g2>h1>h2>a",
          "--fuel", "80")
+COMM_KBO = ("complete-ordered", "comm.es", "--prec", "+>s>0", "--fuel", "100")
 COMM_KBL = ("complete-linear", "comm.es", "--prec", "+>s>0", "--fuel", "50")
 BRAID = ("complete-inf", "braid.str", "--string", "--order", "kbo",
          "--prec", "a>b", "--fuel", "700")
@@ -69,8 +70,8 @@ def test_scan_work_within_budget(monkeypatch, argv, counted, bound):
     assert calls[counted] <= bound, calls
 
 
-@pytest.mark.parametrize("argv", [DEVIE, COMM_KBL, BRAID],
-                         ids=["devie", "comm_kbl", "braid"])
+@pytest.mark.parametrize("argv", [DEVIE, COMM_KBO, COMM_KBL, BRAID],
+                         ids=["devie", "comm_kbo", "comm_kbl", "braid"])
 def test_steps_across_sees_each_pair_once(monkeypatch, argv):
     """No pair reaches the one-step test twice: a pair is tested only when
     it does not join, and it leaves the test connected, which
@@ -79,11 +80,11 @@ def test_steps_across_sees_each_pair_once(monkeypatch, argv):
     seen = []
     steps_across = _Driver.steps_across
 
-    def recorded(driver, eq):
+    def tested(driver, eq):
         seen.append(eq)
         return steps_across(driver, eq)
 
-    monkeypatch.setattr(_Driver, "steps_across", recorded)
+    monkeypatch.setattr(_Driver, "steps_across", tested)
     assert counted_run(monkeypatch, argv)[0] == 2
     assert seen and len(seen) == len(set(seen)), len(seen)
 
