@@ -22,8 +22,9 @@ as it would with no cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, Optional, Sequence
 
 from .critical_pairs import OverlapCache, Peak, pair_overlaps, peak_pairs
 from .orders import OrderSpec
@@ -77,30 +78,20 @@ def calculus(variant: str) -> Calculus:
 
 @dataclass
 class RunState:
-    """Current equations and rules of a completion run.
-
-    ``e_union`` accumulates every equation that was ever present in the
-    equation list; fairness is judged against it.  ``rule_keys`` holds the
-    variant key (:func:`kbd.terms.canonical_pair`) of each rule that
-    orient has compared, filled as it goes.
+    """The pair (E, R) of a completion run, and ``e_union``, the set of
+    equations ever in E, against which fairness is judged.  It is an
+    insertion-ordered set (a dict whose values are None), so that it is
+    filed in the order its members first entered E.
     """
 
     E: list[Equation]
     R: list[Rule]
-    e_union: list[Equation] = field(default_factory=list)
-    rule_keys: dict[Rule, tuple[Term, Term]] = field(
-        default_factory=dict, repr=False, compare=False)
+    e_union: dict[Equation, None]
 
     @classmethod
     def start(cls, eqs: Sequence[Equation],
               rules: Sequence[Rule] = ()) -> "RunState":
-        return cls(list(eqs), list(rules), list(eqs))
-
-    def rule_key(self, rule: Rule) -> tuple[Term, Term]:
-        key = self.rule_keys.get(rule)
-        if key is None:
-            key = self.rule_keys[rule] = canonical_pair(rule)
-        return key
+        return cls(list(eqs), list(rules), dict.fromkeys(eqs))
 
 
 @dataclass(frozen=True)
@@ -150,7 +141,7 @@ def _find_equation(state: RunState, eq: Equation) -> int:
 
 def _record_equation(state: RunState, eq: Equation):
     state.E.append(eq)
-    state.e_union.append(eq)
+    state.e_union[eq] = None
 
 
 def _check_rule_index(state: RunState, k) -> Rule:
@@ -258,11 +249,8 @@ def apply_inference(state: RunState, inf: Inference, variant: str,
         if not order.gt(lhs, rhs):
             raise SideConditionError("cannot orient %s: %s is not greater"
                                      % (eq, lhs))
-        rule = Rule(lhs, rhs)
         del state.E[i]
-        key = state.rule_key(rule)
-        if not any(state.rule_key(r) == key for r in state.R):
-            state.R.append(rule)
+        state.R.append(Rule(lhs, rhs))
         return
 
     if kind == "delete":
@@ -297,7 +285,7 @@ def apply_inference(state: RunState, inf: Inference, variant: str,
         new_eq = Equation(new_term, eq.rhs) if inf.side == "lhs" \
             else Equation(eq.lhs, new_term)
         state.E[i] = new_eq
-        state.e_union.append(new_eq)
+        state.e_union[new_eq] = None
         return
 
     if kind == "compose":
@@ -410,8 +398,6 @@ class _Driver:
                 if hit is not None:
                     pos, ref, _ = hit
                     self.emit(Inference(kind, target=m, pos=pos, ref=ref))
-                    if kind == "collapse":
-                        self.parked.clear()
                     break
             else:
                 return
@@ -446,7 +432,8 @@ class _Driver:
     def feed_e_union(self):
         """File the members added to ``e_union`` since the last call in
         ``e_union_pairs``, both ways round (see :func:`_file_pairs`)."""
-        _file_pairs(self.e_union_pairs, self.state.e_union[self.fed:])
+        _file_pairs(self.e_union_pairs,
+                    islice(self.state.e_union, self.fed, None))
         self.fed = len(self.state.e_union)
 
     def fairness_gap(self) -> list[tuple[Equation, Peak]]:
@@ -498,7 +485,6 @@ class _Driver:
                 if oriented is None:
                     self.parked.add(eq)
                     continue
-                # both sides are R-normal: no variant of the rule is in R
                 self.emit(Inference("orient", equation=eq,
                                     reverse=oriented[0] == eq.rhs))
                 self.parked.clear()
@@ -531,7 +517,7 @@ def _step_sites(s: Term, t: Term) -> list[tuple[Term, Term]]:
     return out
 
 
-def _file_pairs(filed: dict, eqs: Sequence[Equation]):
+def _file_pairs(filed: dict, eqs: Iterable[Equation]):
     """File each of ``eqs`` in ``filed``, both ways round, as the pair
     term ``=(l, r)`` under the root symbol of l (None for a variable),
     after those filed before."""

@@ -22,8 +22,7 @@ from .orders import OrderSpec
 from .rewriting import (_contractions, _equation_views, _rule_views,
                         innermost_redex, normalize, ordered_normalize)
 from .terms import (Equation, Fun, Rule, Term, Var, canonical_terms,
-                    literally_similar, positions, replace_at, subterm_at,
-                    variables)
+                    positions, replace_at, subterm_at, variables)
 
 
 class _OrderedDriver(_Driver):
@@ -69,7 +68,7 @@ def strict_generalizations(t: Term) -> list[Term]:
     """
     pos = [p for p in positions(t) if p != ()]
     out = []
-    seen = set()
+    seen = {canonical_terms([t])[0]}
 
     def parallel(p, q):
         return p[:len(q)] != q and q[:len(p)] != p
@@ -104,8 +103,6 @@ def strict_generalizations(t: Term) -> list[Term]:
             for i, group in enumerate(part):
                 for p in group:
                     w = replace_at(w, p, Var("g%d" % i))
-            if literally_similar(w, t):
-                continue
             key = canonical_terms([w])[0]
             if key not in seen:
                 seen.add(key)

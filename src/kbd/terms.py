@@ -282,11 +282,6 @@ def canonical_terms(ts: Sequence[Term]) -> tuple[Term, ...]:
     return tuple(rename(t, mapping) for t in ts)
 
 
-def literally_similar(s: Term, t: Term) -> bool:
-    """Equality up to renaming of variables (the relation written s ≐ t)."""
-    return canonical_terms([s])[0] == canonical_terms([t])[0]
-
-
 @dataclass(frozen=True)
 class Equation:
     """An unordered pair of terms, kept in the orientation it was written."""

@@ -11,9 +11,10 @@ from kbd.parsing import ProblemFile, word_term
 from kbd.rewriting import (_equation_views, _rule_views, _steps,
                            innermost_redex, is_normal_form, normalize,
                            ordered_step)
-from kbd.terms import (Equation, Fun, Rule, Var, apply_subst, match,
-                       occurs, positions, rename, rename_apart, replace_at,
-                       size, subterm_at, subterms, variables)
+from kbd.terms import (Equation, Fun, Rule, Var, apply_subst,
+                       canonical_terms, match, occurs, positions, rename,
+                       rename_apart, replace_at, size, subterm_at, subterms,
+                       variables)
 
 # -- positions, subterms and encompassment ----------------------------
 
@@ -31,6 +32,11 @@ def proper_subterms(t):
     it = subterms(t)
     next(it)
     yield from it
+
+
+def literally_similar(s, t):
+    """Equality up to renaming of variables (the relation written s ≐ t)."""
+    return canonical_terms([s])[0] == canonical_terms([t])[0]
 
 
 def encompasses(s, t):
@@ -461,8 +467,9 @@ def reference_pairs(rules, eqs=(), order=None, linear=False, prime=True):
 # -- states and words --------------------------------------------------
 
 def copy_state(state):
-    """A run state whose lists are copies of those of ``state``."""
-    return RunState(list(state.E), list(state.R), list(state.e_union))
+    """A run state whose E, R and e_union are copies of those of
+    ``state``."""
+    return RunState(list(state.E), list(state.R), dict(state.e_union))
 
 
 def word_over(word, var):

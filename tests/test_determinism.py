@@ -20,7 +20,7 @@ from test_golden import GOLDEN, _argv, _read
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 PATH = os.pathsep.join(os.path.join(ROOT, d) for d in ("src", "bench"))
-NAMES = ("groups", "comm_kbo", "braid")
+NAMES = ("groups", "comm_kbo", "comm_kbl", "braid")
 
 # runs kbd with the bench tracer installed, and writes the tracer's
 # deterministic counts to the file named by its first argument

@@ -10,11 +10,10 @@ from kbd.ordered import (encompass_reducible, ground_joinable, run_kbl,
                          strict_generalizations)
 from kbd.rewriting import ordered_normalize
 from kbd.terms import (Equation, Fun, Rule, Var, apply_subst,
-                       equation_variants, literally_similar, match,
-                       positions, subterm_at)
+                       equation_variants, match, positions, subterm_at)
 from kbd.canonicity import trs_variants
 
-from helpers import properly_encompasses
+from helpers import literally_similar, properly_encompasses
 from test_rewriting import EQUATIONS, LPO, RULES, TERMS
 
 x, y, z = Var("x"), Var("y"), Var("z")

@@ -26,8 +26,9 @@ from kbd.orders import KboWeights, OrderSpec, Precedence
 from kbd.parsing import (ParseError, ProblemFile, format_trace,
                          parse_problem, parse_trace)
 from kbd.rewriting import normalize, ordered_normalize
-from kbd.terms import (Equation, Fun, Rule, Var, apply_subst, match,
-                       positions, replace_at, subterm_at)
+from kbd.terms import (Equation, Fun, Rule, Var, apply_subst,
+                       canonical_pair, match, positions, replace_at,
+                       subterm_at)
 
 from helpers import copy_state, reference_pairs
 
@@ -101,6 +102,8 @@ def test_every_orient_adds_a_rule(k):
         apply_inference(state, inf, variant, order)
         if inf.kind == "orient":
             assert len(state.R) == rules + 1
+            assert canonical_pair(state.R[-1]) not in \
+                {canonical_pair(rule) for rule in state.R[:-1]}
 
 
 @pytest.mark.parametrize("k", [6, 9], ids=["braid-kbi", "comm-kbo"])
@@ -439,6 +442,16 @@ def test_scan_memos_give_the_memo_free_gap(variant, data, prec, fuel):
     eqs = data.draw(st.lists(equation, min_size=1, max_size=3))
     order = OrderSpec("lpo", Precedence.total(prec))
     ScanCheckedDriver(eqs, order, variant, fuel).run()
+
+
+def test_e_union_is_filed_once():
+    """``e_union`` is a set, so the one-step index files each equation
+    once, both ways round, however often it re-enters E."""
+    driver = _Driver(load("groups.es").equations, lpo("i>*>e"), "kbf", 10000)
+    assert driver.run().status == "success"
+    driver.feed_e_union()
+    filed = sum(len(pairs) for pairs in driver.e_union_pairs.values())
+    assert filed == 2 * len(set(driver.state.e_union)) == 722
 
 
 def test_joins_is_tested_again_on_every_scan():

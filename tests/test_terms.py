@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from kbd.terms import (Equation, Fun, InvalidPosition, Rule, Var,
                        apply_subst, arities, canonical_pair, equation_variants,
-                       is_ground, literally_similar, match, occurs,
-                       pair_variants, positions, rename_apart, replace_at,
-                       same, size, subterm_at, unify, var_count, variables)
+                       is_ground, match, occurs, pair_variants, positions,
+                       rename_apart, replace_at, same, size, subterm_at,
+                       unify, var_count, variables)
 
-from helpers import (GROUND_SIG, eager_unify, encompasses,
+from helpers import (GROUND_SIG, eager_unify, encompasses, literally_similar,
                      postorder_positions, properly_encompasses, random_term,
                      stack_match)
 

@@ -63,7 +63,9 @@ def counted_run(monkeypatch, argv):
     (DEVIE, "_overlap", 750),
     (DEVIE, "joins", 250),
     (BRAID, "joins", 200),
-], ids=["comm_kbl-overlap", "devie-overlap", "devie-joins", "braid-joins"])
+    (COMM_KBO, "joins", 90),
+], ids=["comm_kbl-overlap", "devie-overlap", "devie-joins", "braid-joins",
+        "comm_kbo-joins"])
 def test_scan_work_within_budget(monkeypatch, argv, counted, bound):
     code, calls = counted_run(monkeypatch, argv)
     assert code == 2  # out of fuel, at the benchmark's cap
