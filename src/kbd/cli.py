@@ -14,11 +14,11 @@ output cut off by a closed pipe (as in ``kbd ... | head -1``).
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import os
 import sys
 from contextlib import nullcontext
+from types import SimpleNamespace
 from typing import Optional
 
 from .canonicity import rddot, rdot
@@ -156,9 +156,10 @@ def cmd_complete(args) -> int:
         raise ValueError("completion starts from equations; found rules")
     variant, engine = ENGINES[args.command]
     order = build_order(args, pf)
+    fuel = fuel_of(args)  # a usage error leaves an old trace file as it is
     with (open(args.trace, "w") if args.trace is not None
           else nullcontext()) as trace:
-        result = engine(pf.equations, order, fuel_of(args))
+        result = engine(pf.equations, order, fuel)
         if trace:
             trace.write(format_trace(result.trace, variant))
     out = show_system(result.state.R, result.state.E, args.string)
@@ -336,13 +337,44 @@ COMMANDS = {
         "--variant": dict(default="kbf", choices=list(CALCULI))}),
 }
 
+# The arguments of every command, then those of every command that reads
+# an order, in the order that ``-h`` lists them.
+COMMON_ARGS = {
+    "problem": dict(help="problem file"),
+    "--string": dict(action="store_true",
+                     help="treat input as string rewriting words"),
+    "--fuel": dict(type=int, default=None,
+                   help="inferences for complete*, rewrite steps "
+                   "otherwise (default 10000 or $KBD_FUEL)"),
+}
+ORDER_ARGS = {
+    "--order": dict(default="lpo", choices=["lpo", "kbo", "ground-derived"]),
+    "--prec": dict(default=None, help='precedence chains, e.g. "f>g>h,a>b"'),
+    "--w0": dict(type=int, default=1,
+                 help="weight of variables and constants floor"),
+    "--weights": dict(default=None, help='symbol weights, e.g. "f=2,g=1"'),
+}
 
-def make_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of ``kbd``, with the subparser of ``command`` alone when
-    it names one, and of every command otherwise: building every command's
-    costs a cold call more than most completions do.  The subparsers
-    action still names every command as its metavar, so that the usage
-    line under an unrecognized argument reads as with every command."""
+
+def arguments(command: str) -> dict:
+    """The ``add_argument`` calls of ``command``'s subparser: each name
+    with its keywords."""
+    _, order_rule, own = COMMANDS[command]
+    return {**COMMON_ARGS, **(ORDER_ARGS if order_rule is not None else {}),
+            **own}
+
+
+def make_parser(command: Optional[str] = None):
+    """The argparse parser of ``kbd``, which answers ``-h`` and every call
+    that :func:`read_argv` leaves to it.  It holds the subparser of
+    ``command`` alone when it names one, and of every command otherwise:
+    building every command's costs a cold call more than most completions
+    do.  The subparsers action still names every command as its metavar,
+    so that the usage line under an unrecognized argument reads as with
+    every command.  argparse is imported here alone: with the ``locale``
+    module that its first message loads, it would cost every call a few
+    milliseconds."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="kbd", description="Knuth-Bendix completion toolbox")
     if command in COMMANDS:
@@ -353,36 +385,86 @@ def make_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         names = list(COMMANDS)
         sub = parser.add_subparsers(dest="command", required=True)
     for name in names:
-        fn, order_rule, own = COMMANDS[name]
+        fn, order_rule, _ = COMMANDS[name]
         p = sub.add_parser(name)
-        p.add_argument("problem", help="problem file")
-        p.add_argument("--string", action="store_true",
-                       help="treat input as string rewriting words")
-        p.add_argument("--fuel", type=int, default=None,
-                       help="inferences for complete*, rewrite steps "
-                       "otherwise (default 10000 or $KBD_FUEL)")
-        if order_rule is not None:
-            p.add_argument("--order", default="lpo",
-                           choices=["lpo", "kbo", "ground-derived"])
-            p.add_argument("--prec", default=None,
-                           help='precedence chains, e.g. "f>g>h,a>b"')
-            p.add_argument("--w0", type=int, default=1,
-                           help="weight of variables and constants floor")
-            p.add_argument("--weights", default=None,
-                           help='symbol weights, e.g. "f=2,g=1"')
-        for arg, kwargs in own.items():
+        for arg, kwargs in arguments(name).items():
             p.add_argument(arg, **kwargs)
         p.set_defaults(fn=fn, order_rule=order_rule)
     return parser
 
 
+# the ``add_argument`` keywords that read_argv reads as argparse does
+READ_KEYWORDS = {"action", "type", "choices", "default", "required", "help"}
+
+
+def read_value(kwargs: dict, token: str):
+    """``token`` as the value of an argument with ``kwargs``, or None
+    where argparse might read it otherwise or reject it.  A decimal
+    token is one that ``int`` reads as argparse's ``type=int`` does."""
+    if token.startswith("-"):
+        return None
+    if kwargs.get("type") is int:
+        if not token.isdecimal():
+            return None
+        token = int(token)
+    return token if token in kwargs.get("choices", (token,)) else None
+
+
+def read_argv(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The arguments that argparse makes of a well-formed call, read
+    straight from the flag table, or None for any other call: ``-h``, an
+    unknown, abbreviated, repeated or ``--flag=value`` flag, a value that
+    starts with "-", a number that is not decimal, a value outside its
+    choices, too few or too many positionals, a missing required flag.
+    :func:`make_parser` answers those, so every help text and usage error
+    is argparse's."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    table = arguments(argv[0])
+    if any(set(kwargs) - READ_KEYWORDS
+           or kwargs.get("action", "store_true") != "store_true"
+           or kwargs.get("type", int) is not int
+           for kwargs in table.values()):
+        return None
+    given, positionals = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+        elif token not in table or token in given:
+            return None
+        elif table[token].get("action"):
+            given[token] = True
+        else:
+            given[token] = read_value(table[token], next(tokens, "-"))
+    names = [name for name in table if not name.startswith("-")]
+    if len(positionals) != len(names):
+        return None
+    given.update((name, read_value(table[name], token))
+                 for name, token in zip(names, positionals))
+    if None in given.values() or any(
+            kwargs.get("required") and name not in given
+            for name, kwargs in table.items()):
+        return None
+    fn, order_rule, _ = COMMANDS[argv[0]]
+    args = SimpleNamespace(command=argv[0], fn=fn, order_rule=order_rule)
+    for name, kwargs in table.items():
+        default = kwargs.get("default", False if kwargs.get("action")
+                             else None)
+        setattr(args, name.lstrip("-").replace("-", "_"),
+                given.get(name, default))
+    return args
+
+
 def entry(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = make_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code else EXIT_YES
+    args = read_argv(argv)
+    if args is None:
+        parser = make_parser(argv[0] if argv else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:
+            return EXIT_USAGE if e.code else EXIT_YES
     try:
         return args.fn(args)
     except ParseError as e:

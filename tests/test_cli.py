@@ -1,6 +1,7 @@
-"""End-to-end command-line tests driven through the argparse entry point."""
+"""End-to-end command-line tests driven through ``kbd.cli.entry``."""
 
 import contextlib
+import importlib
 import io
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kbd.cli import COMMANDS, entry, make_parser
+from kbd.cli import COMMANDS, arguments, entry, make_parser, read_argv
 from kbd.critical_pairs import prime_critical_pairs
 from kbd.orders import Precedence
 from kbd.terms import Fun, Rule, Var
@@ -18,6 +19,7 @@ from kbd.terms import Fun, Rule, Var
 from helpers import joinable, lpo_order
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
 COMM = "(VAR x y) (EQUATIONS f(x,y) == f(y,x))"
@@ -646,6 +648,24 @@ class TestErrorsAndEnvironment:
         self.file_error(capsys, tmp_path, "complete", fixture("strategy.es"),
                         "--prec", "a>b>d,a>c>d", "--trace", str(tmp_path))
 
+    @pytest.mark.parametrize("flags, env", [
+        (("--fuel", "-3"), None), ((), "lots"),
+    ], ids=["negative-fuel", "bad-fuel-env"])
+    def test_usage_error_keeps_an_old_trace(self, capsys, monkeypatch,
+                                            tmp_path, flags, env):
+        """A bad fuel is a usage error found before the trace file is
+        opened, so an old trace there keeps its contents."""
+        trace = tmp_path / "t.log"
+        trace.write_text("orient a -> d\n")
+        if env is not None:
+            monkeypatch.setenv("KBD_FUEL", env)
+        code, out, err = run(capsys, "complete", fixture("strategy.es"),
+                             "--prec", "a>b>d,a>c>d", *flags,
+                             "--trace", str(trace))
+        assert (code, out) == (3, "")
+        assert err.startswith("ERROR (")
+        assert trace.read_text() == "orient a -> d\n"
+
     def test_empty_trace_path(self, capsys):
         """An empty ``--trace`` path names a file that cannot be opened; it
         does not mean "no trace"."""
@@ -905,6 +925,140 @@ class TestOneCommandParser:
         code, out, err = run(capsys, "bogus")
         assert (code, out) == (3, "")
         assert "argument command: invalid choice: 'bogus'" in err
+
+
+def read_by_argparse(argv):
+    """``vars()`` of the namespace that argparse makes of ``argv``, or None
+    where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(make_parser(argv[0] if argv else None)
+                        .parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# tokens that argparse reads otherwise than as a plain flag or value, or
+# rejects: help, an abbreviation, --flag=value, the end of the flags, a
+# value or a number that starts with a sign, digits that int() rejects or
+# that are not ASCII, unknown flags, a lone "-", a value outside choices
+AWKWARD = ["-h", "--help", "--pre", "--fuel=3", "--", "-3", "+5", "²", "٣",
+           "3.0", " 3", "x", "--bogus", "-x", "-", "-a", "a b", "--str",
+           "-s", "nope"]
+NUMBERS = ["0", "3", "007", "10000"]
+WORDS = ["p.es", "a>b", "f(b) == a", "f=2,g=1", "", "t.log", "kbo"]
+
+
+def mostly(good, bad):
+    """``good`` two times in three, ``bad`` otherwise."""
+    return st.one_of(good, good, bad)
+
+
+@st.composite
+def calls(draw):
+    """A call of a command: about as many positionals as it takes, some of
+    its flags, each with a value of its kind where it takes one, and
+    sometimes awkward tokens, in any order."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    table = arguments(command)
+    wanted = sum(not name.startswith("-") for name in table)
+    count = draw(mostly(st.just(wanted), st.integers(0, wanted + 1)))
+    pieces = [[draw(st.sampled_from(WORDS))] for _ in range(count)]
+    flags = st.sampled_from([name for name in table if name.startswith("-")])
+    for name in draw(mostly(st.lists(flags, max_size=5, unique=True),
+                            st.lists(flags, max_size=5))):
+        kwargs = table[name]
+        if kwargs.get("action"):
+            pieces.append([name])
+        else:
+            values = kwargs.get("choices", NUMBERS if kwargs.get("type")
+                                else WORDS)
+            pieces.append([name, draw(mostly(st.sampled_from(values),
+                                             st.sampled_from(AWKWARD)))])
+    pieces += [[token] for token in draw(mostly(
+        st.just([]), st.lists(st.sampled_from(AWKWARD), max_size=2)))]
+    return [command] + [token for piece in draw(st.permutations(pieces))
+                        for token in piece]
+
+
+class TestReadArgv:
+    """``read_argv`` reads a well-formed call as argparse does, and leaves
+    every other call to argparse."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(calls())
+    def test_agrees_with_argparse(self, argv):
+        ours = read_argv(argv)
+        theirs = read_by_argparse(argv)
+        if theirs is None:
+            assert ours is None
+        elif ours is not None:
+            assert vars(ours) == theirs
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["-h"], ["complete", "-h"], ["complete", "p.es", "--"],
+        ["complete", "p.es", "--fuel", "-3"], ["complete", "p.es", "--pre",
+                                               "a>b"],
+        ["complete", "p.es", "--fuel", "3", "--fuel", "3"],
+        ["complete", "p.es", "--fuel=3"], ["complete", "p.es", "--fuel",
+                                           "²"],
+        ["complete", "p.es", "--fuel", "+5"], ["replay", "p.es"],
+        ["decide", "p.es"], ["cps", "p.es", "--prec", "a>b"],
+    ])
+    def test_leaves_to_argparse(self, argv):
+        assert read_argv(argv) is None
+
+    def test_every_golden_and_bench_call(self, monkeypatch):
+        """Every call of the golden runs and of the benchmark is read from
+        the flag table, so none of them pays for argparse."""
+        from test_golden import CASES, LISTINGS, VARIANTS, _argv
+        monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+        workloads = importlib.import_module("workloads")
+        argvs = [_argv(name, "t.log") for name in CASES]
+        argvs += [["replay", fixture(problem), "--script", "t.log",
+                   "--variant", VARIANTS[command]] + list(flags)
+                  for command, problem, flags, _ in CASES.values()]
+        argvs += [[command, fixture(problem)] + list(flags)
+                  for command, problem, flags in LISTINGS.values()]
+        argvs += [case.command() + ["--trace", "t.log"]
+                  for cases in workloads.CASES.values() for case in cases]
+        assert len(argvs) > 100
+        for argv in argvs:
+            ours = read_argv(argv)
+            assert ours is not None, argv
+            assert vars(ours) == read_by_argparse(argv)
+
+
+# A fresh interpreter runs ``entry`` once and reports its exit code and
+# which of the modules that argparse loads are loaded.
+COLD_CALL = """
+import sys
+from kbd.cli import entry
+code = entry(sys.argv[1:])
+print(code, *sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+"""
+
+
+def cold_call(*argv):
+    """The exit code of ``kbd argv`` in a fresh interpreter, and which of
+    argparse, gettext and locale it loaded."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", COLD_CALL] + list(argv),
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    return int(code), set(loaded)
+
+
+def test_well_formed_cold_call_loads_no_argparse():
+    assert cold_call("complete", fixture("strategy.es"),
+                     "--prec", "a>b>d,a>c>d") == (0, set())
+
+
+def test_help_loads_argparse():
+    code, loaded = cold_call("complete", "-h")
+    assert code == 0 and "argparse" in loaded
 
 
 class TestOrderRules:

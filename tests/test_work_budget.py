@@ -11,8 +11,8 @@ unifying, and keeps the pairs that one ↔E step with a member of
 ``e_union`` connects.  Searching every function position, or joining
 every pair on every scan, exceeds the bounds several times over.
 
-A call of ``kbd`` also builds its argument parser, and builds the
-subparser of the command it runs alone.
+A well-formed call of ``kbd`` builds no argparse parser, and any other
+call builds the subparser of the command it names alone.
 """
 
 import argparse
@@ -92,8 +92,9 @@ def test_steps_across_sees_each_pair_once(monkeypatch, argv):
 
 
 def test_one_command_builds_one_subparser(monkeypatch):
-    """``entry`` builds the top-level parser and the subparser of
-    ``complete``, not those of the twelve other commands."""
+    """A well-formed call of ``complete`` builds no argparse parser; the
+    same call with an unknown flag builds the top-level parser and the
+    subparser of ``complete``, not those of the twelve other commands."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -102,8 +103,11 @@ def test_one_command_builds_one_subparser(monkeypatch):
         init(parser, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    argv = ["complete", os.path.join(FIXTURES, "strategy.es"),
+            "--prec", "a>b>d,a>c>d"]
     with contextlib.redirect_stdout(io.StringIO()):
-        code = entry(["complete", os.path.join(FIXTURES, "strategy.es"),
-                      "--prec", "a>b>d,a>c>d"])
-    assert code == 0
+        assert entry(argv) == 0
+    assert built == []
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert entry(argv + ["--bogus"]) == 3
     assert len(built) == 2, built
