@@ -364,37 +364,21 @@ def arguments(command: str) -> dict:
             **own}
 
 
-def make_parser(command: Optional[str] = None):
+def make_parser():
     """The argparse parser of ``kbd``, which answers ``-h`` and every call
-    that :func:`read_argv` leaves to it.  It holds the subparser of
-    ``command`` alone when it names one, and of every command otherwise:
-    building every command's costs a cold call more than most completions
-    do.  The subparsers action still names every command as its metavar,
-    so that the usage line under an unrecognized argument reads as with
-    every command.  argparse is imported here alone: with the ``locale``
-    module that its first message loads, it would cost every call a few
-    milliseconds."""
+    that :func:`read_argv` leaves to it.  argparse is imported here alone:
+    with the ``locale`` module that its first message loads, it would cost
+    every call a few milliseconds."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="kbd", description="Knuth-Bendix completion toolbox")
-    if command in COMMANDS:
-        names = [command]
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{%s}" % ",".join(COMMANDS))
-    else:
-        names = list(COMMANDS)
-        sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        fn, order_rule, _ = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, order_rule, _) in COMMANDS.items():
         p = sub.add_parser(name)
         for arg, kwargs in arguments(name).items():
             p.add_argument(arg, **kwargs)
         p.set_defaults(fn=fn, order_rule=order_rule)
     return parser
-
-
-# the ``add_argument`` keywords that read_argv reads as argparse does
-READ_KEYWORDS = {"action", "type", "choices", "default", "required", "help"}
 
 
 def read_value(kwargs: dict, token: str):
@@ -417,15 +401,12 @@ def read_argv(argv: list[str]) -> Optional[SimpleNamespace]:
     starts with "-", a number that is not decimal, a value outside its
     choices, too few or too many positionals, a missing required flag.
     :func:`make_parser` answers those, so every help text and usage error
-    is argparse's."""
+    is argparse's.  The flag table uses only the keywords read here:
+    ``action="store_true"``, ``type=int``, ``choices``, ``default``,
+    ``required`` and ``help``."""
     if not argv or argv[0] not in COMMANDS:
         return None
     table = arguments(argv[0])
-    if any(set(kwargs) - READ_KEYWORDS
-           or kwargs.get("action", "store_true") != "store_true"
-           or kwargs.get("type", int) is not int
-           for kwargs in table.values()):
-        return None
     given, positionals = {}, []
     tokens = iter(argv[1:])
     for token in tokens:
@@ -460,9 +441,8 @@ def entry(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = read_argv(argv)
     if args is None:
-        parser = make_parser(argv[0] if argv else None)
         try:
-            args = parser.parse_args(argv)
+            args = make_parser().parse_args(argv)
         except SystemExit as e:
             return EXIT_USAGE if e.code else EXIT_YES
     try:

@@ -73,14 +73,17 @@ def _overlap(outer: RuleLike, inner: RuleLike, pos: Position,
     return Overlap(pos, pair, redex, canonical_pair(pair))
 
 
-def _linear_condition(inner: RuleLike, outer: RuleLike,
-                      order: OrderSpec) -> bool:
+def _orientation(view: RuleLike, order: OrderSpec) -> tuple[bool, bool]:
+    """Whether l > r, and whether r > l, for the view l ≈ r."""
+    return order.gt(view.lhs, view.rhs), order.gt(view.rhs, view.lhs)
+
+
+def _linear_condition(inner: tuple[bool, bool],
+                      outer: tuple[bool, bool]) -> bool:
     """One participant is oriented by the order and the other is not
-    increasing, judged on the equations before instantiation."""
-    l1, r1 = inner.lhs, inner.rhs
-    l2, r2 = outer.lhs, outer.rhs
-    return (order.gt(l1, r1) and not order.gt(r2, l2)) or \
-        (order.gt(l2, r2) and not order.gt(r1, l1))
+    increasing, judged on the equations before instantiation: each
+    participant is given by its :func:`_orientation`."""
+    return inner[0] and not outer[1] or outer[0] and not inner[1]
 
 
 def pair_overlaps(outer: RuleLike, inner: RuleLike,
@@ -110,7 +113,8 @@ def pair_overlaps(outer: RuleLike, inner: RuleLike,
     if isinstance(inner.lhs, Fun):
         root = inner.lhs.symbol
         sites = [site for site in sites if site[1] == root]
-    if not sites or linear and not _linear_condition(inner, outer, order):
+    if not sites or linear and not _linear_condition(
+            _orientation(inner, order), _orientation(outer, order)):
         return []
     inner = rename_apart(outer, inner)
     found = (_overlap(outer, inner, pos, order) for pos, _ in sites)
@@ -127,12 +131,15 @@ class OverlapCache:
     the first time it is seen, so that a scan hashes each view once; an
     entry holds a pair of views' :class:`Overlap` list, and each scan
     keeps only its own pairs'.  ``sites`` holds each view's
-    :func:`kbd.terms.fun_sites` of its left-hand side, by id.
+    :func:`kbd.terms.fun_sites` of its left-hand side, by id, and
+    ``orientations`` its :func:`_orientation` where ``linear`` asks for
+    it, so that the linear condition judges each view once.
     """
 
     ids: dict[RuleLike, int] = field(default_factory=dict)
     overlaps: dict[tuple[int, int], list] = field(default_factory=dict)
     sites: dict[int, list] = field(default_factory=dict)
+    orientations: dict[int, tuple[bool, bool]] = field(default_factory=dict)
 
 
 def peak_pairs(views, order: Optional[OrderSpec] = None,
@@ -157,16 +164,24 @@ def peak_pairs(views, order: Optional[OrderSpec] = None,
         cache = OverlapCache()
     ids = [cache.ids.setdefault(view, len(cache.ids))
            for _, view in views]
+    orients = cache.orientations
+    if linear:
+        for (_, view), vid in zip(views, ids):
+            if vid not in orients:
+                orients[vid] = _orientation(view, order)
     old, cache.overlaps = cache.overlaps, {}
     seen = set()
     for (oref, outer), oid in zip(views, ids):
         for (iref, inner), iid in zip(views, ids):
             found = old.get((oid, iid))
-            if found is None:
+            if found is None and linear and not _linear_condition(
+                    orients[iid], orients[oid]):
+                found = []
+            elif found is None:
                 sites = cache.sites.get(oid)
                 if sites is None:
                     sites = cache.sites[oid] = fun_sites(outer.lhs)
-                found = pair_overlaps(outer, inner, order, linear, sites)
+                found = pair_overlaps(outer, inner, order, False, sites)
             cache.overlaps[oid, iid] = found
             for pos, pair, redex, key in found:
                 if key in seen or prime and any(

@@ -5,7 +5,7 @@ from collections import deque
 from typing import NamedTuple
 
 from kbd.completion import RunState
-from kbd.critical_pairs import _linear_condition, _overlap, dedup_pairs
+from kbd.critical_pairs import _overlap, dedup_pairs
 from kbd.orders import OrderSpec, Precedence, lex_ext, lpo_gt
 from kbd.parsing import ProblemFile, word_term
 from kbd.rewriting import (_equation_views, _rule_views, _steps,
@@ -410,8 +410,11 @@ def every_site_overlaps(outer, inner, order=None, linear=False):
             o = _overlap(outer, inner, pos, order)
             if o is not None:
                 out.append(o)
-    if linear and out and not _linear_condition(inner, outer, order):
-        return []
+    if linear and out:
+        gt = order.gt
+        if not (gt(inner.lhs, inner.rhs) and not gt(outer.rhs, outer.lhs) or
+                gt(outer.lhs, outer.rhs) and not gt(inner.rhs, inner.lhs)):
+            return []
     return out
 
 

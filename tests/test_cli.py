@@ -888,9 +888,8 @@ def parsed(parser, argv):
 
 
 class TestOneCommandParser:
-    """``entry`` builds the subparser of the command it is given alone;
-    that parser answers every malformed call as the parser of every
-    command does, usage lines included."""
+    """argparse answers ``-h`` and every malformed call with the parser of
+    every command, usage lines included."""
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     @pytest.mark.parametrize("rest", [
@@ -899,16 +898,20 @@ class TestOneCommandParser:
     ], ids=["help", "missing", "unknown-flag", "bad-order", "bad-fuel",
             "extra"])
     def test_same_as_full_parser(self, command, rest):
-        argv = [command] + rest
-        one = parsed(make_parser(command), argv)
-        assert one == parsed(make_parser(), argv)
-        assert one[0] in (0, 2)
+        code, _, err = parsed(make_parser(), [command] + rest)
+        assert code == (0 if rest == ["-h"] else 2)
+        # decide, short of its query, and replay, of its --script, report
+        # that first in their own usage
+        if rest == ["p.es", "--bogus"] and command not in ("decide",
+                                                          "replay"):
+            usage, error = err.split("kbd: error: ")
+            assert error == "unrecognized arguments: --bogus\n"
+            assert "{%s}" % ",".join(COMMANDS) in usage
 
     def test_replay_without_script(self):
-        argv = ["replay", "p.es"]
-        one = parsed(make_parser("replay"), argv)
-        assert one == parsed(make_parser(), argv)
-        assert "the following arguments are required: --script" in one[2]
+        code, _, err = parsed(make_parser(), ["replay", "p.es"])
+        assert code == 2
+        assert "the following arguments are required: --script" in err
 
     def test_no_command(self, capsys):
         code, out, err = run(capsys)
@@ -933,8 +936,7 @@ def read_by_argparse(argv):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(make_parser(argv[0] if argv else None)
-                        .parse_args(argv))
+            return vars(make_parser().parse_args(argv))
         except SystemExit:
             return None
 
@@ -1008,6 +1010,17 @@ class TestReadArgv:
     ])
     def test_leaves_to_argparse(self, argv):
         assert read_argv(argv) is None
+
+    def test_flag_table_uses_only_read_keywords(self):
+        """Every ``add_argument`` call in the flag table uses only the
+        keywords that ``read_argv`` reads as argparse does."""
+        for command in COMMANDS:
+            for name, kwargs in arguments(command).items():
+                assert set(kwargs) <= {"action", "type", "choices",
+                                       "default", "required", "help"}, name
+                assert kwargs.get("action", "store_true") == "store_true", \
+                    name
+                assert kwargs.get("type", int) is int, name
 
     def test_every_golden_and_bench_call(self, monkeypatch):
         """Every call of the golden runs and of the benchmark is read from
@@ -1084,4 +1097,4 @@ class TestOrderRules:
             assert (code, out) == (3, "")
             assert err.endswith("error: unrecognized arguments: --prec a>b\n")
         else:
-            assert parsed(make_parser(command), argv)[0] is None
+            assert parsed(make_parser(), argv)[0] is None
