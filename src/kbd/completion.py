@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Optional, Sequence
 
-from .critical_pairs import OverlapCache, Peak, pair_overlaps, peak_pairs
+from .critical_pairs import (OverlapCache, Peak, _linear_condition,
+                             _orientation, pair_overlaps, peak_pairs)
 from .orders import OrderSpec
 from .rewriting import (_contractions, _equation_views, _format_ref,
                         _normal_form, _rule_views, innermost_redex)
@@ -222,8 +223,11 @@ def _check_peak(state: RunState, calc: Calculus, eq: Equation, peak: Peak,
     outer, inner = views[peak.outer], views[peak.inner]
     site = _subterm(outer.lhs, peak.pos)
     sites = [(peak.pos, site.symbol)] if isinstance(site, Fun) else []
+    if calc.linear and not _linear_condition(_orientation(inner, order),
+                                             _orientation(outer, order)):
+        sites = []
     found = pair_overlaps(outer, inner, order if calc.ordered else None,
-                          calc.linear, sites)
+                          sites)
     if not found:
         raise SideConditionError("%s does not overlap %s at position %r"
                                  % (inner, outer, peak.pos))

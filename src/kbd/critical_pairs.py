@@ -88,33 +88,29 @@ def _linear_condition(inner: tuple[bool, bool],
 
 def pair_overlaps(outer: RuleLike, inner: RuleLike,
                   order: Optional[OrderSpec] = None,
-                  linear: bool = False,
                   sites: Optional[list[tuple[Position, str]]] = None
                   ) -> list[Overlap]:
     """Overlaps of a renamed-apart variant of ``inner`` into ``outer``.
 
     A rule overlapping a variant of itself at the root is excluded.  With
     an ``order`` the participants are oriented equations and an overlap
-    with mgu μ is kept only when r1μ not > l1μ and r2μ not > l2μ; with
-    ``linear`` as well, only when one participant is oriented (see
-    :func:`linear_critical_pairs`).  The result depends on ``outer`` and
-    ``inner`` alone, so a completion run can compute it once per pair.
-    ``sites``, taken from ``fun_sites(outer.lhs)``, are the positions
-    tried.
+    with mgu μ is kept only when r1μ not > l1μ and r2μ not > l2μ.  The
+    result depends on ``outer`` and ``inner`` alone, so a completion run
+    can compute it once per pair.  ``sites``, taken from
+    ``fun_sites(outer.lhs)``, are the positions tried.  Linear completion
+    keeps a pair's overlaps only where :func:`_linear_condition` holds of
+    the two participants; its callers judge that.
 
     Only the positions whose symbol is the root symbol of ``inner.lhs``
-    can unify with it (every position, when that is a variable), and the
-    linear condition is judged on the participants alone, invariant under
-    renaming; so no renaming or unification is tried when either rules
-    every overlap out.
+    can unify with it (every position, when that is a variable), so no
+    renaming or unification is tried when none has it.
     """
     if sites is None:
         sites = fun_sites(outer.lhs)
     if isinstance(inner.lhs, Fun):
         root = inner.lhs.symbol
         sites = [site for site in sites if site[1] == root]
-    if not sites or linear and not _linear_condition(
-            _orientation(inner, order), _orientation(outer, order)):
+    if not sites:
         return []
     inner = rename_apart(outer, inner)
     found = (_overlap(outer, inner, pos, order) for pos, _ in sites)
@@ -151,10 +147,11 @@ def peak_pairs(views, order: Optional[OrderSpec] = None,
 
     ``views`` are ``(ref, view)`` pairs as :func:`kbd.rewriting.
     _rule_views` and :func:`kbd.rewriting._equation_views` build them.
-    Overlaps are those of :func:`pair_overlaps` under ``order`` and
-    ``linear``, taken by outer view, then inner view, then position, and
-    the pairs are deduplicated up to variants (as ordered pairs), keeping
-    the first.  With ``prime``, only prime pairs are kept: those whose
+    Overlaps are those of :func:`pair_overlaps` under ``order``, with
+    ``linear`` only for pairs of views that meet :func:`_linear_condition`,
+    taken by outer view, then inner view, then position, and the pairs
+    are deduplicated up to variants (as ordered pairs), keeping the
+    first.  With ``prime``, only prime pairs are kept: those whose
     redex has arguments irreducible by the views (the order deciding
     which equation instances apply), since a reducible subterm makes every
     term around it reducible.  ``cache`` carries the overlaps from one
@@ -181,7 +178,7 @@ def peak_pairs(views, order: Optional[OrderSpec] = None,
                 sites = cache.sites.get(oid)
                 if sites is None:
                     sites = cache.sites[oid] = fun_sites(outer.lhs)
-                found = pair_overlaps(outer, inner, order, False, sites)
+                found = pair_overlaps(outer, inner, order, sites)
             cache.overlaps[oid, iid] = found
             for pos, pair, redex, key in found:
                 if key in seen or prime and any(

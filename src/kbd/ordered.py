@@ -14,15 +14,16 @@ joinability of ground terms under ordered rewriting.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from itertools import combinations
+from typing import Iterator, Optional, Sequence
 
 from .completion import RunResult, _Driver
 from .critical_pairs import dedup_pairs
 from .orders import OrderSpec
 from .rewriting import (_contractions, _equation_views, _rule_views,
                         innermost_redex, normalize, ordered_normalize)
-from .terms import (Equation, Fun, Rule, Term, Var, canonical_terms,
-                    positions, replace_at, subterm_at, variables)
+from .terms import (Equation, Fun, Position, Rule, Term, Var, positions,
+                    replace_at, subterm_at, var_count, variables)
 
 
 class _OrderedDriver(_Driver):
@@ -59,55 +60,41 @@ def ground_joinable(eqs: Sequence[Equation], rules: Sequence[Rule],
     return sn == tn
 
 
-def strict_generalizations(t: Term) -> list[Term]:
-    """All terms strictly more general than ``t``, up to renaming.
+def covers(t: Term) -> Iterator[Term]:
+    """The covers of ``t`` that are not variables: the terms one step more
+    general than ``t`` in the subsumption order, each once up to renaming.
 
-    Generalizations replace the subterms at an antichain of positions by
-    variables, where positions carrying equal subterms may share one.
-    Variants of ``t`` itself are excluded.
+    Each cover puts one fresh variable at
+    - a nonempty set of occurrences of one constant,
+    - every occurrence of a subterm f(y1, …, yn) whose arguments are
+      variables occurring nowhere else in ``t`` (hence distinct), or
+    - a nonempty proper subset of one variable's occurrences, taken from
+      all but its first, so that each split of them comes once.
+
+    These undo the elementary substitutions {z ↦ c}, {z ↦ f(y1, …, yn)}
+    and {z ↦ x} (Plotkin 1970; Huet 1976).  The root stays, since
+    generalizing it gives a variable.
     """
-    pos = [p for p in positions(t) if p != ()]
-    out = []
-    seen = {canonical_terms([t])[0]}
-
-    def parallel(p, q):
-        return p[:len(q)] != q and q[:len(p)] != p
-
-    def antichains(rest):
-        if not rest:
-            yield []
-            return
-        head, tail = rest[0], rest[1:]
-        for chain in antichains(tail):
-            yield chain
-        compatible = [q for q in tail if parallel(head, q)]
-        for chain in antichains(compatible):
-            yield [head] + chain
-
-    def partitions(items):
-        if not items:
-            yield []
-            return
-        head, tail = items[0], items[1:]
-        for part in partitions(tail):
-            for i, group in enumerate(part):
-                if subterm_at(t, group[0]) == subterm_at(t, head):
-                    yield part[:i] + [[head] + group] + part[i + 1:]
-            yield [[head]] + part
-
-    for chain in antichains(pos):
-        if not chain:
-            continue
-        for part in partitions(chain):
+    sites: dict[Term, list[Position]] = {}
+    for p in positions(t)[1:]:
+        sites.setdefault(subterm_at(t, p), []).append(p)
+    # longer than every variable name of t, so fresh
+    fresh = Var("_" * (1 + max(map(len, variables(t)), default=0)))
+    for u, ps in sites.items():
+        if isinstance(u, Fun) and u.args:
+            choices = [ps] if all(
+                isinstance(y, Var) and var_count(t, y.name) == len(ps)
+                for y in u.args) else []
+        else:
+            if isinstance(u, Var):
+                ps = ps[1:]
+            choices = (c for k in range(1, len(ps) + 1)
+                       for c in combinations(ps, k))
+        for chosen in choices:
             w = t
-            for i, group in enumerate(part):
-                for p in group:
-                    w = replace_at(w, p, Var("g%d" % i))
-            key = canonical_terms([w])[0]
-            if key not in seen:
-                seen.add(key)
-                out.append(w)
-    return out
+            for p in chosen:
+                w = replace_at(w, p, fresh)
+            yield w
 
 
 def encompass_reducible(eqs: Sequence[Equation], rules: Sequence[Rule],
@@ -122,6 +109,15 @@ def encompass_reducible(eqs: Sequence[Equation], rules: Sequence[Rule],
     decreasing instance of an equation.  A view that matches such a
     generalization also matches ``t``, so the generalizations are only
     searched when some view matches ``t``.
+
+    The root search tries the :func:`covers` of ``t`` alone.  A reduction
+    order is stable under substitution: when a strict generalization w =
+    lσ of ``t`` has lσ > rσ, for a view l ≈ r whose sides have the same
+    variables, then lσρ > rσρ for every term wρ between w and ``t``.
+    Every strict generalization of ``t`` but a variable lies above a
+    cover of ``t``, which is then a decreasing instance too.  A variable
+    on one side of a view only stays unbound in the instance, so for such
+    a view the answer of either search can depend on variable names.
 
     Proper encompassment is read off the match that finds a redex: when
     ℓ matches ``t`` at position p with matcher σ, ``t`` properly
@@ -142,7 +138,7 @@ def encompass_reducible(eqs: Sequence[Equation], rules: Sequence[Rule],
         return True
     return next(_contractions(t, views), None) is not None and \
         any(next(_contractions(w, views, order), None)
-            for w in strict_generalizations(t))
+            for w in covers(t))
 
 
 def simplify_ground_complete(eqs: Sequence[Equation],

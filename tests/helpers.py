@@ -49,6 +49,58 @@ def properly_encompasses(s, t):
     return encompasses(s, t) and not encompasses(t, s)
 
 
+def strict_generalizations(t):
+    """All terms strictly more general than ``t``, up to renaming, but the
+    variables: the oracle of :func:`kbd.ordered.covers`.
+
+    Generalizations replace the subterms at an antichain of positions by
+    variables, where positions carrying equal subterms may share one.
+    Variants of ``t`` itself are excluded.
+    """
+    pos = [p for p in positions(t) if p != ()]
+    out = []
+    seen = {canonical_terms([t])[0]}
+
+    def parallel(p, q):
+        return p[:len(q)] != q and q[:len(p)] != p
+
+    def antichains(rest):
+        if not rest:
+            yield []
+            return
+        head, tail = rest[0], rest[1:]
+        for chain in antichains(tail):
+            yield chain
+        compatible = [q for q in tail if parallel(head, q)]
+        for chain in antichains(compatible):
+            yield [head] + chain
+
+    def partitions(items):
+        if not items:
+            yield []
+            return
+        head, tail = items[0], items[1:]
+        for part in partitions(tail):
+            for i, group in enumerate(part):
+                if subterm_at(t, group[0]) == subterm_at(t, head):
+                    yield part[:i] + [[head] + group] + part[i + 1:]
+            yield [[head]] + part
+
+    for chain in antichains(pos):
+        if not chain:
+            continue
+        for part in partitions(chain):
+            w = t
+            for i, group in enumerate(part):
+                for p in group:
+                    w = replace_at(w, p, Var("g%d" % i))
+            key = canonical_terms([w])[0]
+            if key not in seen:
+                seen.add(key)
+                out.append(w)
+    return out
+
+
 def is_renaming(sigma):
     """Does ``sigma`` map its variables to distinct variables?"""
     return all(isinstance(u, Var) for u in sigma.values()) and \

@@ -82,6 +82,10 @@ LISTINGS.update(
     ("reduce-ordered_" + stem, ("reduce-ordered", stem + ".es",
                                 ("--prec", prec)))
     for stem, prec in ORDERED)
+# a rule whose root test searches its 62 covers, not its strict
+# generalizations: the equation's swap matches there, but not decreasingly
+LISTINGS["reduce-ordered_swap5"] = ("reduce-ordered", "swap5.es",
+                                    ("--prec", "f>g>h>a>b>c"))
 # decide, its query last among the flags: kbf decides the groups queries,
 # kbo the plus one and, with no equation left, the okb1 ones; the rest
 # answer MAYBE

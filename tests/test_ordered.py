@@ -2,18 +2,20 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbd.completion import Inference, Peak, replay
 from kbd.orders import KboWeights, OrderSpec, Precedence
-from kbd.ordered import (encompass_reducible, ground_joinable, run_kbl,
-                         run_kbo, simplify_ground_complete,
-                         strict_generalizations)
+from kbd.ordered import (covers, encompass_reducible, ground_joinable,
+                         run_kbl, run_kbo, simplify_ground_complete)
 from kbd.rewriting import ordered_normalize
 from kbd.terms import (Equation, Fun, Rule, Var, apply_subst,
-                       equation_variants, match, positions, subterm_at)
+                       canonical_terms, equation_variants, match, positions,
+                       subterm_at, variables)
 from kbd.canonicity import trs_variants
 
-from helpers import literally_similar, properly_encompasses
+from helpers import (literally_similar, properly_encompasses,
+                     strict_generalizations)
 from test_rewriting import EQUATIONS, LPO, RULES, TERMS
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -234,6 +236,28 @@ class TestStrictGeneralizations:
         assert all(not literally_similar(w, t) for w in gens)
 
 
+def test_covers_of_a_shared_subterm_and_a_split_variable():
+    # s(x) holds every occurrence of x, so both go at once; the split of
+    # x's two occurrences keeps the first
+    assert [canonical_terms([w])[0] for w in covers(plus(s(s(x)), s(x)))] == \
+        [plus(s(Var("x1")), Var("x1")), plus(s(s(Var("x1"))), s(Var("x2")))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=TERMS)
+def test_covers_are_the_least_strict_generalizations(t):
+    """Each cover is a strict generalization with none strictly below it,
+    every strict generalization lies above a cover, and no two covers are
+    variants: the covers are the least strict generalizations."""
+    gens, found = strict_generalizations(t), list(covers(t))
+    keys = [canonical_terms([w])[0] for w in found]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) <= {canonical_terms([w])[0] for w in gens}
+    assert not any(match(w, u) is not None and match(u, w) is None
+                   for w in found for u in gens)
+    assert all(any(match(w, c) is not None for c in found) for w in gens)
+
+
 class TestEncompassReducible:
     ORDER = OrderSpec("lpo", Precedence([("+", "s")]))
 
@@ -309,3 +333,19 @@ def encompass_reducible_by_definition(eqs, rules, order, t):
 def test_encompass_reducible_is_its_definition(rules, eqs, t):
     assert encompass_reducible(eqs, rules, LPO, t) == \
         encompass_reducible_by_definition(eqs, rules, LPO, t)
+
+
+KBO = OrderSpec("kbo", Precedence.total(["f", "g", "a", "b"]), KboWeights())
+BALANCED = st.lists(st.builds(Equation, TERMS, TERMS).filter(
+    lambda e: set(variables(e.lhs)) == set(variables(e.rhs))), max_size=3)
+
+
+@pytest.mark.parametrize("order", [LPO, KBO], ids=["lpo", "kbo"])
+@settings(max_examples=200, deadline=None)
+@given(rules=RULES, eqs=BALANCED, t=TERMS)
+def test_covers_decide_as_every_generalization(order, rules, eqs, t):
+    """With the same variables on both sides of each equation, the search
+    of the covers at the root answers as the search of every strict
+    generalization: the order is stable under substitution."""
+    assert encompass_reducible(eqs, rules, order, t) == \
+        encompass_reducible_by_definition(eqs, rules, order, t)

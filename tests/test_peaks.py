@@ -20,7 +20,8 @@ from kbd.completion import (CALCULI, Inference, Peak, RunState,
                             SideConditionError, _Driver, _file_pairs,
                             _peak_views, apply_inference, is_linear, replay,
                             run_kbf, run_kbg, run_kbi, single_step_connects)
-from kbd.critical_pairs import pair_overlaps, peak_pairs
+from kbd.critical_pairs import (_linear_condition, _orientation,
+                                pair_overlaps, peak_pairs)
 from kbd.ordered import _OrderedDriver, run_kbl, run_kbo
 from kbd.orders import KboWeights, OrderSpec, Precedence
 from kbd.parsing import (ParseError, ProblemFile, format_trace,
@@ -334,8 +335,11 @@ def test_named_peak_accepted_exactly_where_the_engine_finds_it(
     views = _peak_views(state, calc)
     for oref, outer in views:
         for iref, inner in views:
+            linear_ok = not calc.linear or _linear_condition(
+                _orientation(inner, order), _orientation(outer, order))
             kept = {o.pos for o in pair_overlaps(
-                outer, inner, order if calc.ordered else None, calc.linear)}
+                outer, inner, order if calc.ordered else None)} \
+                if linear_ok else set()
             for pos, pair, _, _ in pair_overlaps(outer, inner):
                 inf = Inference("deduce", equation=pair,
                                 peak=Peak(oref, iref, pos))

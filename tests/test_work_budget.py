@@ -13,7 +13,9 @@ every pair on every scan, exceeds the bounds several times over.  kbl's
 linear condition compares each view with the order at most twice in a
 run.
 
-A well-formed call of ``kbd`` builds no argparse parser.
+A well-formed call of ``kbd`` builds no argparse parser, and
+``encompass_reducible`` searches the covers of a term at its root, not
+all its generalizations.
 """
 
 import argparse
@@ -24,10 +26,11 @@ import sys
 
 import pytest
 
-from kbd import completion, critical_pairs
+from kbd import completion, critical_pairs, ordered, rewriting
 from kbd.cli import entry
 from kbd.completion import _Driver
-from kbd.orders import OrderSpec
+from kbd.orders import OrderSpec, Precedence
+from kbd.parsing import parse_problem
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -143,3 +146,30 @@ def test_well_formed_call_builds_no_parser(monkeypatch):
     assert built == []
     with contextlib.redirect_stderr(io.StringIO()):
         assert entry(argv + ["--bogus"]) == 3
+
+
+def test_root_search_tries_the_covers(monkeypatch):
+    """The rule of the 4-argument swap problem is not reducible below
+    itself.  Its left-hand side has 30 covers, one for each nonempty set
+    of its a's or of its b's, against 15,418 strict generalizations.  The
+    check calls ``_contractions`` 64 times: 33 times below the root, once
+    to find that a view matches at the root, and once per cover.  The
+    search of every generalization calls it 15,452 times."""
+    problem = parse_problem(
+        "(VAR x0 x1 x2 x3)"
+        "(EQUATIONS f(x0,x1,x2,x3) == f(x1,x0,x2,x3))"
+        "(RULES f(g(h(a),b),g(h(a),b),g(h(a),b),g(h(a),b)) -> c)")
+    order = OrderSpec("lpo", Precedence.total("fghabc"))
+    calls = 0
+    contractions = rewriting._contractions
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return contractions(*args)
+
+    monkeypatch.setattr(rewriting, "_contractions", counted)
+    monkeypatch.setattr(ordered, "_contractions", counted)
+    assert not ordered.encompass_reducible(
+        problem.equations, problem.rules, order, problem.rules[0].lhs)
+    assert calls <= 100, calls
