@@ -353,11 +353,9 @@ class _Driver:
         # the e_union members filed by _file_pairs, and how many they are
         self.e_union_pairs: dict = {}
         self.fed = 0
-        # critical pairs that one ↔E step with an e_union member connects,
-        # which stays so as e_union grows: those that passed the test,
-        # and those deduced (whose own equation, once in e_union, steps
-        # from one side to the other at the root)
-        self.connected: set[Equation] = set()
+        # critical pairs covered for good: found trivial, joining or one
+        # ↔E step apart by a scan, or deduced (see fairness_gap)
+        self.covered: set[Equation] = set()
 
     def emit(self, inf: Inference):
         if self.fuel is not None and len(self.trace) >= self.fuel:
@@ -441,13 +439,13 @@ class _Driver:
         self.fed = len(self.state.e_union)
 
     def fairness_gap(self) -> list[tuple[Equation, Peak]]:
-        """Prime critical pairs of the current system not yet accounted
-        for, with their peaks.  In every calculus a pair is covered when
-        its sides join in their normal forms or one ↔E step with an
-        ``e_union`` member connects them (:func:`single_step_connects`).
-        Only joining can change its answer from one scan to the next, as R
-        and E change; ``e_union`` only grows, so a pair found
-        ``connected`` is not tested again."""
+        """Prime critical pairs not yet covered, with their peaks.  A run
+        is fair when PCP(R_ω) ⊆ ↓_{R_∪} ∪ ↔_{E_∪}: a pair is covered by
+        equal sides, joining normal forms (ordered steps use decreasing
+        instances of E members, which stay in E_∪) or one ↔E step with an
+        ``e_union`` member (:func:`single_step_connects`).  R_∪ and E_∪
+        only grow, so a pair once covered, or deduced, stays covered: it
+        goes into ``covered`` and is not tested again."""
         calc = self.calculus
         if not calc.deduces:
             return []
@@ -455,18 +453,20 @@ class _Driver:
         peaks = peak_pairs(_peak_views(self.state, calc),
                            self.order if calc.ordered else None, calc.linear,
                            cache=self.overlaps)
-        return [(eq, peak) for eq, peak in peaks
-                if not (eq.is_trivial() or eq in self.connected
-                        or self.joins(eq.lhs, eq.rhs)
-                        or self.steps_across(eq))]
+        gap = []
+        for eq, peak in peaks:
+            if eq in self.covered:
+                continue
+            if eq.is_trivial() or self.joins(eq.lhs, eq.rhs) \
+                    or self.steps_across(eq):
+                self.covered.add(eq)
+            else:
+                gap.append((eq, peak))
+        return gap
 
     def steps_across(self, eq: Equation) -> bool:
-        """Does one ↔E step with an ``e_union`` member connect the sides
-        of ``eq``?  A yes is kept in ``connected``."""
-        connects = single_step_connects(self.e_union_pairs, eq.lhs, eq.rhs)
-        if connects:
-            self.connected.add(eq)
-        return connects
+        """Are the sides of ``eq`` one ↔E step apart by ``e_union``?"""
+        return single_step_connects(self.e_union_pairs, eq.lhs, eq.rhs)
 
     def run(self) -> RunResult:
         state = self.state
@@ -479,7 +479,7 @@ class _Driver:
                         break
                     for eq, peak in gap:
                         self.emit(Inference("deduce", equation=eq, peak=peak))
-                        self.connected.add(eq)
+                        self.covered.add(eq)
                     continue
                 eq = self.simplify_to_normal_form(min(live, key=self.priority))
                 if eq.is_trivial():

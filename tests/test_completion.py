@@ -10,7 +10,7 @@ from kbd.completion import (CALCULI, Inference, Peak, RunState,
                             SideConditionError, apply_inference, replay,
                             run_kbf, run_kbg, run_kbi)
 from kbd.canonicity import trs_variants
-from kbd.critical_pairs import prime_critical_pairs
+from kbd.critical_pairs import critical_pairs, prime_critical_pairs
 from kbd.orders import OrderSpec, Precedence, KboWeights
 from kbd.parsing import parse_problem, word_term
 from kbd.rewriting import normalize
@@ -18,6 +18,7 @@ from kbd.terms import Equation, Fun, Rule, Var, pair_variants
 
 from helpers import (congruence_closure_rules, copy_state, is_reduced,
                      joinable, word_over)
+from test_peaks import RANDOM_RUNS
 
 x, y = Var("x"), Var("y")
 a, b, c, d = Fun("a"), Fun("b"), Fun("c"), Fun("d")
@@ -457,3 +458,21 @@ class TestTraceReplaysGenerally:
         result = run_kbg(eqs, order)
         state = replay(eqs, [], result.trace, "kbg", order)
         assert state.R == list(result.state.R)
+
+
+@pytest.mark.parametrize("variant", ["kbf", "kbi", "kbo", "kbl"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), prec=st.permutations(["f", "g", "a", "b"]))
+def test_success_with_empty_e_is_complete(variant, data, prec):
+    """A run that succeeds with E empty leaves an R in which every
+    critical pair and every input equation has one normal form, though
+    the fairness scans test each pair only until it is first covered."""
+    engine, equation = RANDOM_RUNS[variant]
+    eqs = data.draw(st.lists(equation, min_size=1, max_size=3))
+    result = engine(eqs, OrderSpec("lpo", Precedence.total(prec)), 60)
+    if result.status != "success" or result.state.E:
+        return
+    R = result.state.R
+    for eq in critical_pairs(R) + eqs:
+        l, r = normalize(R, eq.lhs, 2000), normalize(R, eq.rhs, 2000)
+        assert l is not None and l == r, (eq, R)

@@ -7,11 +7,12 @@ search, and ``_Driver.joins``, one normalization of a critical pair.
 Both counts are deterministic (the same under every ``PYTHONHASHSEED``),
 and each bound sits about 25% above the count of the search that tries
 only the sites of the inner root symbol, rejects a linear pair before
-unifying, and keeps the pairs that one ↔E step with a member of
-``e_union`` connects.  Searching every function position, or joining
-every pair on every scan, exceeds the bounds several times over.  kbl's
-linear condition compares each view with the order at most twice in a
-run.
+unifying, and keeps every pair it finds covered.  Searching every
+function position exceeds the bounds several times over, and joining
+again on every scan the pairs that joined exceeds devie's and braid's
+(204 and 165 calls): no pair is joined, or tested for one ↔E step,
+twice in a run.  kbl's linear condition compares each view with the
+order at most twice in a run.
 
 A well-formed call of ``kbd`` builds no argparse parser, and
 ``encompass_reducible`` searches the covers of a term at its root, not
@@ -67,9 +68,9 @@ def counted_run(monkeypatch, argv):
 @pytest.mark.parametrize("argv, counted, bound", [
     (COMM_KBL, "_overlap", 600),
     (DEVIE, "_overlap", 750),
-    (DEVIE, "joins", 250),
-    (BRAID, "joins", 200),
-    (COMM_KBO, "joins", 90),
+    (DEVIE, "joins", 65),
+    (BRAID, "joins", 100),
+    (COMM_KBO, "joins", 85),
 ], ids=["comm_kbl-overlap", "devie-overlap", "devie-joins", "braid-joins",
         "comm_kbo-joins"])
 def test_scan_work_within_budget(monkeypatch, argv, counted, bound):
@@ -78,23 +79,42 @@ def test_scan_work_within_budget(monkeypatch, argv, counted, bound):
     assert calls[counted] <= bound, calls
 
 
-@pytest.mark.parametrize("argv", [DEVIE, COMM_KBO, COMM_KBL, BRAID],
-                         ids=["devie", "comm_kbo", "comm_kbl", "braid"])
+RUNS = pytest.mark.parametrize("argv", [DEVIE, COMM_KBO, COMM_KBL, BRAID],
+                               ids=["devie", "comm_kbo", "comm_kbl", "braid"])
+
+
+def pairs_tested(monkeypatch, argv, name, pair):
+    """Run ``kbd argv`` and list the pair of each call of
+    ``_Driver.<name>``, as ``pair`` reads it from the call's arguments."""
+    seen = []
+    method = getattr(_Driver, name)
+
+    def tested(driver, *args):
+        seen.append(pair(*args))
+        return method(driver, *args)
+
+    monkeypatch.setattr(_Driver, name, tested)
+    assert counted_run(monkeypatch, argv)[0] == 2
+    return seen
+
+
+@RUNS
 def test_steps_across_sees_each_pair_once(monkeypatch, argv):
     """No pair reaches the one-step test twice: a pair is tested only when
-    it does not join, and it leaves the test connected, which
-    ``_Driver.connected`` keeps, or deduced.  Testing before joining would
-    see most pairs again on every scan."""
-    seen = []
-    steps_across = _Driver.steps_across
-
-    def tested(driver, eq):
-        seen.append(eq)
-        return steps_across(driver, eq)
-
-    monkeypatch.setattr(_Driver, "steps_across", tested)
-    assert counted_run(monkeypatch, argv)[0] == 2
+    it does not join, and it leaves the test covered, which
+    ``_Driver.covered`` keeps, or deduced."""
+    seen = pairs_tested(monkeypatch, argv, "steps_across", lambda eq: eq)
     assert seen and len(seen) == len(set(seen)), len(seen)
+
+
+@RUNS
+def test_joins_sees_each_pair_once(monkeypatch, argv):
+    """No pair is joined twice: a pair that joins goes into
+    ``_Driver.covered``, and one that does not is covered by one step or
+    deduced.  Joining every uncovered pair on every scan made 204 join
+    tests on devie's 50 distinct pairs."""
+    seen = pairs_tested(monkeypatch, argv, "joins", lambda s, t: (s, t))
+    assert seen and len(seen) == len(set(seen)), (len(seen), len(set(seen)))
 
 
 def test_linear_condition_judges_each_view_once(monkeypatch):
